@@ -8,7 +8,6 @@
 #include "rim/core/radii.hpp"
 #include "rim/core/scenario.hpp"
 #include "rim/geom/grid_index.hpp"
-#include "rim/geom/kdtree.hpp"
 #include "rim/graph/udg.hpp"
 #include "rim/highway/a_apx.hpp"
 #include "rim/highway/a_exp.hpp"
@@ -146,18 +145,6 @@ void BM_GridIndexQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexQuery);
-
-void BM_KdTreeNearest(benchmark::State& state) {
-  const auto points = sim::uniform_square(65536, 72.0, 3);
-  const geom::KdTree tree(points);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.nearest(points[i % points.size()], static_cast<NodeId>(i % points.size())));
-    ++i;
-  }
-}
-BENCHMARK(BM_KdTreeNearest);
 
 void BM_AExp(benchmark::State& state) {
   const auto chain =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace rim::core {
 
@@ -105,7 +106,6 @@ std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
   w.u64(s.edge_count);
   w.f64(s.cell_size);
   w.u8(static_cast<std::uint8_t>(s.options.strategy));
-  w.u8(static_cast<std::uint8_t>(s.options.execution));
   w.u64(s.options.auto_brute_max_nodes);
   w.u64(s.options.auto_grid_max_nodes);
   w.f64(s.options.max_touched_fraction);
@@ -129,6 +129,19 @@ std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
 bool decode_fail(std::string& error, const std::string& what) {
   error = "snapshot decode error: " + what;
   return false;
+}
+
+/// Read an untrusted JSON integer into \p out: absent, negative,
+/// fractional, or beyond T's range is a decode error, never a cast.
+template <typename T>
+bool read_uint(const io::Json* node, T& out) {
+  std::uint64_t value = 0;
+  if (node == nullptr ||
+      !io::json_to_u64(*node, std::numeric_limits<T>::max(), value)) {
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
 }
 
 }  // namespace
@@ -272,9 +285,7 @@ bool Snapshot::from_bytes(std::span<const std::uint8_t> bytes, Snapshot& out,
   out.grid_built = (flags & 2u) != 0;
   out.edge_count = static_cast<std::size_t>(edge_count);
   std::uint8_t strategy = 0;
-  std::uint8_t execution = 0;
-  if (!r.u8(strategy) || !r.u8(execution) ||
-      !r.u64(out.options.auto_brute_max_nodes) ||
+  if (!r.u8(strategy) || !r.u64(out.options.auto_brute_max_nodes) ||
       !r.u64(out.options.auto_grid_max_nodes) ||
       !r.f64(out.options.max_touched_fraction) ||
       !r.u64(out.options.touched_floor) ||
@@ -284,11 +295,7 @@ bool Snapshot::from_bytes(std::span<const std::uint8_t> bytes, Snapshot& out,
   if (strategy > static_cast<std::uint8_t>(Strategy::kAuto)) {
     return decode_fail(error, "invalid strategy value");
   }
-  if (execution > static_cast<std::uint8_t>(Execution::kSpeculative)) {
-    return decode_fail(error, "invalid execution value");
-  }
   out.options.with_strategy(static_cast<Strategy>(strategy));
-  out.options.with_execution(static_cast<Execution>(execution));
   // Cheap sanity bound before reserving: every node needs at least
   // 24 payload bytes (point + radius), so a huge count is corruption.
   if (node_count > r.remaining() / 24 + 1) {
@@ -341,7 +348,6 @@ io::Json Snapshot::to_json() const {
   {
     io::JsonObject opt;
     opt["strategy"] = io::Json(static_cast<unsigned>(options.strategy));
-    opt["execution"] = io::Json(static_cast<unsigned>(options.execution));
     opt["auto_brute_max_nodes"] = io::Json(options.auto_brute_max_nodes);
     opt["auto_grid_max_nodes"] = io::Json(options.auto_grid_max_nodes);
     opt["max_touched_fraction_bits"] =
@@ -398,9 +404,8 @@ bool Snapshot::from_json(const io::Json& json, Snapshot& out,
       *format->as_string() != "rim-snapshot") {
     return decode_fail(error, "not a rim-snapshot document");
   }
-  const auto* version = json.find("version");
-  if (version == nullptr ||
-      static_cast<std::uint32_t>(version->as_number(0)) != kVersion) {
+  std::uint32_t version = 0;
+  if (!read_uint(json.find("version"), version) || version != kVersion) {
     return decode_fail(error, "unsupported or missing version");
   }
   const auto read_hex_double = [&](const io::Json* node, double& value) {
@@ -418,45 +423,25 @@ bool Snapshot::from_json(const io::Json& json, Snapshot& out,
   if (!read_hex_double(json.find("cell_size_bits"), out.cell_size)) {
     return decode_fail(error, "missing or malformed cell_size_bits");
   }
-  const auto* edge_count = json.find("edge_count");
-  if (edge_count == nullptr || !edge_count->is_number()) {
-    return decode_fail(error, "missing edge_count");
+  if (!read_uint(json.find("edge_count"), out.edge_count)) {
+    return decode_fail(error, "missing or malformed edge_count");
   }
-  out.edge_count = static_cast<std::size_t>(edge_count->as_number());
   const auto* opt = json.find("options");
   if (opt == nullptr || !opt->is_object()) {
     return decode_fail(error, "missing options object");
   }
-  const double strategy = opt->find("strategy") != nullptr
-                              ? opt->find("strategy")->as_number(-1)
-                              : -1;
-  if (strategy < 0 ||
-      strategy > static_cast<double>(
-                     static_cast<std::uint8_t>(Strategy::kAuto))) {
+  std::uint8_t strategy = 0;
+  if (!read_uint(opt->find("strategy"), strategy) ||
+      strategy > static_cast<std::uint8_t>(Strategy::kAuto)) {
     return decode_fail(error, "invalid options.strategy");
   }
-  out.options.with_strategy(
-      static_cast<Strategy>(static_cast<std::uint8_t>(strategy)));
-  const double execution = opt->find("execution") != nullptr
-                               ? opt->find("execution")->as_number(-1)
-                               : -1;
-  if (execution < 0 ||
-      execution > static_cast<double>(
-                      static_cast<std::uint8_t>(Execution::kSpeculative))) {
-    return decode_fail(error, "invalid options.execution");
-  }
-  out.options.with_execution(
-      static_cast<Execution>(static_cast<std::uint8_t>(execution)));
-  const auto read_size = [&](const char* key, std::size_t& value) {
-    const io::Json* node = opt->find(key);
-    if (node == nullptr || !node->is_number()) return false;
-    value = static_cast<std::size_t>(node->as_number());
-    return true;
-  };
-  if (!read_size("auto_brute_max_nodes", out.options.auto_brute_max_nodes) ||
-      !read_size("auto_grid_max_nodes", out.options.auto_grid_max_nodes) ||
-      !read_size("touched_floor", out.options.touched_floor) ||
-      !read_size("batch_min_parallel_tasks",
+  out.options.with_strategy(static_cast<Strategy>(strategy));
+  if (!read_uint(opt->find("auto_brute_max_nodes"),
+                 out.options.auto_brute_max_nodes) ||
+      !read_uint(opt->find("auto_grid_max_nodes"),
+                 out.options.auto_grid_max_nodes) ||
+      !read_uint(opt->find("touched_floor"), out.options.touched_floor) ||
+      !read_uint(opt->find("batch_min_parallel_tasks"),
                  out.options.batch_min_parallel_tasks) ||
       !read_hex_double(opt->find("max_touched_fraction_bits"),
                        out.options.max_touched_fraction)) {
@@ -477,9 +462,9 @@ bool Snapshot::from_json(const io::Json& json, Snapshot& out,
     }
     out.points.push_back(p);
   }
-  const auto* node_count = json.find("node_count");
-  if (node_count == nullptr ||
-      static_cast<std::size_t>(node_count->as_number()) != out.points.size()) {
+  std::size_t node_count = 0;
+  if (!read_uint(json.find("node_count"), node_count) ||
+      node_count != out.points.size()) {
     return decode_fail(error, "node_count disagrees with points_bits");
   }
   const auto* radii_bits = json.find("radii2_bits");
@@ -504,10 +489,11 @@ bool Snapshot::from_json(const io::Json& json, Snapshot& out,
     std::vector<NodeId> neighbors;
     neighbors.reserve(row.as_array()->size());
     for (const io::Json& v : *row.as_array()) {
-      if (!v.is_number()) {
+      NodeId id = kInvalidNode;
+      if (!read_uint(&v, id)) {
         return decode_fail(error, "malformed adjacency entry");
       }
-      neighbors.push_back(static_cast<NodeId>(v.as_number()));
+      neighbors.push_back(id);
     }
     out.adjacency.push_back(std::move(neighbors));
   }
@@ -518,10 +504,11 @@ bool Snapshot::from_json(const io::Json& json, Snapshot& out,
     }
     out.interference.reserve(interference->as_array()->size());
     for (const io::Json& v : *interference->as_array()) {
-      if (!v.is_number()) {
+      std::uint32_t count = 0;
+      if (!read_uint(&v, count)) {
         return decode_fail(error, "malformed interference entry");
       }
-      out.interference.push_back(static_cast<std::uint32_t>(v.as_number()));
+      out.interference.push_back(count);
     }
   }
   if (!out.validate(error)) return false;

@@ -40,8 +40,8 @@ struct Snapshot {
   /// Bumped on any incompatible layout change; from_bytes/from_json reject
   /// other versions (no silent migrations — the compatibility policy is
   /// "same version restores, anything else errors", DESIGN.md §7).
-  /// Version 2: EvalOptions grew the batch execution mode.
-  static constexpr std::uint32_t kVersion = 2;
+  /// Version 3: the batch execution-mode option is gone (one scheduler).
+  static constexpr std::uint32_t kVersion = 3;
 
   bool cache_valid = false;  ///< interference[] present (engine not dirty)
   bool grid_built = false;   ///< persistent index existed (cell_size valid)

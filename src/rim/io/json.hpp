@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -116,5 +117,13 @@ class Json {
 
 /// Escape a string per RFC 8259 (quotes, backslash, control characters).
 [[nodiscard]] std::string json_escape(const std::string& raw);
+
+/// The one integer-in-range checker for untrusted documents (wire requests,
+/// snapshots): true iff \p json is a number with an exact integral value in
+/// [0, max] and at most 2^53, where every integer is exact in a double.
+/// Negative, fractional, NaN and oversized values are refused, so callers
+/// never cast an out-of-range double to an integer type.
+[[nodiscard]] bool json_to_u64(const Json& json, std::uint64_t max,
+                               std::uint64_t& out);
 
 }  // namespace rim::io

@@ -175,8 +175,8 @@ bool Replicator::restore(std::uint64_t origin, const std::string& target,
   const io::Json* session_field = result.find("session");
   std::uint64_t session = 0;
   if (session_field == nullptr ||
-      !svc::json_to_u64(*session_field,
-                        std::numeric_limits<std::uint64_t>::max(), session)) {
+      !io::json_to_u64(*session_field,
+                       std::numeric_limits<std::uint64_t>::max(), session)) {
     ++counters_.adoption_failures;
     error = target + " returned no session id";
     return false;
@@ -189,8 +189,8 @@ bool Replicator::restore(std::uint64_t origin, const std::string& target,
   if (adopted) {
     const io::Json* seq_field = result.find("seq");
     if (seq_field != nullptr) {
-      (void)svc::json_to_u64(*seq_field,
-                             std::numeric_limits<std::uint64_t>::max(),
+      (void)io::json_to_u64(*seq_field,
+                            std::numeric_limits<std::uint64_t>::max(),
                              adopted_seq);
     }
   }

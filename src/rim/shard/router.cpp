@@ -179,8 +179,8 @@ std::string Router::dispatch(std::string_view payload) {
   std::uint64_t id = 0;
   const io::Json* id_field = request.find("id");
   if (id_field != nullptr) {
-    (void)svc::json_to_u64(*id_field,
-                           std::numeric_limits<std::uint64_t>::max(), id);
+    (void)io::json_to_u64(*id_field,
+                          std::numeric_limits<std::uint64_t>::max(), id);
   }
   const io::Json* cmd_field = request.find("cmd");
   const std::string* command =
@@ -281,8 +281,8 @@ std::string Router::create_session(std::uint64_t id) {
       }
       std::uint64_t backend_session = 0;
       if (session_field == nullptr ||
-          !svc::json_to_u64(*session_field,
-                            std::numeric_limits<std::uint64_t>::max(),
+          !io::json_to_u64(*session_field,
+                           std::numeric_limits<std::uint64_t>::max(),
                             backend_session)) {
         response = svc::make_error(id, svc::code::kInternal,
                                    "backend '" + owner +
@@ -311,8 +311,8 @@ std::string Router::close_session(std::uint64_t id, const io::Json& request) {
   const io::Json* session_field = request.find("session");
   std::uint64_t session_id = 0;
   if (session_field == nullptr ||
-      !svc::json_to_u64(*session_field,
-                        std::numeric_limits<std::uint64_t>::max(),
+      !io::json_to_u64(*session_field,
+                       std::numeric_limits<std::uint64_t>::max(),
                         session_id)) {
     return svc::make_error(id, svc::code::kBadRequest,
                            "field 'session' must be an integer session id");
@@ -375,8 +375,8 @@ std::string Router::route_session_command(std::uint64_t id,
   const io::Json* session_field = request.find("session");
   std::uint64_t session_id = 0;
   if (session_field == nullptr ||
-      !svc::json_to_u64(*session_field,
-                        std::numeric_limits<std::uint64_t>::max(),
+      !io::json_to_u64(*session_field,
+                       std::numeric_limits<std::uint64_t>::max(),
                         session_id)) {
     return svc::make_error(id, svc::code::kBadRequest,
                            "field 'session' must be an integer session id");

@@ -13,7 +13,8 @@ std::uint64_t u64_field(const io::Json& result, const char* key,
   const io::Json* field = result.find(key);
   std::uint64_t value = 0;
   if (field == nullptr ||
-      !json_to_u64(*field, std::numeric_limits<std::uint64_t>::max(), value)) {
+      !io::json_to_u64(*field,
+                       std::numeric_limits<std::uint64_t>::max(), value)) {
     return fallback;
   }
   return value;

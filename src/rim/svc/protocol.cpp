@@ -1,6 +1,5 @@
 #include "rim/svc/protocol.hpp"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -88,26 +87,13 @@ io::Json mutation_to_json(const core::Mutation& mutation) {
   return io::Json(std::move(object));
 }
 
-bool json_to_u64(const io::Json& json, std::uint64_t max, std::uint64_t& out) {
-  if (!json.is_number()) return false;
-  const double value = json.as_number();
-  if (!(value >= 0.0) || value != std::floor(value)) return false;
-  // Doubles are exact up to 2^53; every id space here (NodeId, session
-  // ids) fits comfortably below that.
-  if (value > 9007199254740992.0) return false;
-  const auto integral = static_cast<std::uint64_t>(value);
-  if (integral > max) return false;
-  out = integral;
-  return true;
-}
-
 namespace {
 
 bool node_id_field(const io::Json& json, const char* key, NodeId& out,
                    std::string& error) {
   const io::Json* field = json.find(key);
   std::uint64_t value = 0;
-  if (field == nullptr || !json_to_u64(*field, kInvalidNode, value)) {
+  if (field == nullptr || !io::json_to_u64(*field, kInvalidNode, value)) {
     error = std::string("mutation field '") + key +
             "' must be an integer node id";
     return false;
@@ -200,7 +186,7 @@ std::uint64_t peek_request_id(std::string_view payload) {
   const io::Json* id = document.find("id");
   std::uint64_t value = 0;
   if (id == nullptr ||
-      !json_to_u64(*id, std::numeric_limits<std::uint64_t>::max(), value)) {
+      !io::json_to_u64(*id, std::numeric_limits<std::uint64_t>::max(), value)) {
     return 0;
   }
   return value;

@@ -164,9 +164,4 @@ inline constexpr const char* kConnectionLost = "connection_lost";
 /// \p payload parses to an object with a numeric id, 0 otherwise.
 [[nodiscard]] std::uint64_t peek_request_id(std::string_view payload);
 
-/// Integer-in-range helper shared by the request parsers: true iff \p json
-/// is a number with an exact integral value in [0, max].
-[[nodiscard]] bool json_to_u64(const io::Json& json, std::uint64_t max,
-                               std::uint64_t& out);
-
 }  // namespace rim::svc

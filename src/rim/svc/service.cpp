@@ -71,7 +71,7 @@ bool node_id_in_range(const io::Json& request, const char* key,
                       std::string& error) {
   const io::Json* field = request.find(key);
   std::uint64_t value = 0;
-  if (field == nullptr || !json_to_u64(*field, kInvalidNode, value)) {
+  if (field == nullptr || !io::json_to_u64(*field, kInvalidNode, value)) {
     error = std::string("field '") + key + "' must be an integer node id";
     return false;
   }
@@ -186,8 +186,8 @@ std::string Service::dispatch(std::string_view payload) {
   std::uint64_t id = 0;
   const io::Json* id_field = request.find("id");
   if (id_field != nullptr) {
-    (void)json_to_u64(*id_field, std::numeric_limits<std::uint64_t>::max(),
-                      id);
+    (void)io::json_to_u64(*id_field, std::numeric_limits<std::uint64_t>::max(),
+                          id);
   }
   const io::Json* cmd_field = request.find("cmd");
   const std::string* command =
@@ -235,8 +235,9 @@ std::string Service::dispatch_command(std::uint64_t id,
     const io::Json* session_field = request.find("session");
     std::uint64_t session_id = 0;
     if (session_field == nullptr ||
-        !json_to_u64(*session_field, std::numeric_limits<std::uint64_t>::max(),
-                     session_id)) {
+        !io::json_to_u64(*session_field,
+                         std::numeric_limits<std::uint64_t>::max(),
+                         session_id)) {
       return make_error(id, code::kBadRequest,
                         "field 'session' must be an integer session id");
     }
@@ -276,8 +277,8 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
   const io::Json* origin_field = request.find("origin");
   std::uint64_t origin = 0;
   if (origin_field == nullptr ||
-      !json_to_u64(*origin_field, std::numeric_limits<std::uint64_t>::max(),
-                   origin)) {
+      !io::json_to_u64(*origin_field, std::numeric_limits<std::uint64_t>::max(),
+                       origin)) {
     return make_error(id, code::kBadRequest,
                       "field 'origin' must be an integer origin session id");
   }
@@ -285,8 +286,8 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
     const io::Json* seq_field = request.find("seq");
     std::uint64_t seq = 0;
     if (seq_field == nullptr ||
-        !json_to_u64(*seq_field, std::numeric_limits<std::uint64_t>::max(),
-                     seq)) {
+        !io::json_to_u64(*seq_field, std::numeric_limits<std::uint64_t>::max(),
+                         seq)) {
       return make_error(id, code::kBadRequest,
                         "field 'seq' must be an integer ship sequence");
     }
@@ -378,8 +379,8 @@ std::string Service::dispatch_session_command(std::uint64_t id,
   const io::Json* session_field = request.find("session");
   std::uint64_t session_id = 0;
   if (session_field == nullptr ||
-      !json_to_u64(*session_field, std::numeric_limits<std::uint64_t>::max(),
-                   session_id)) {
+      !io::json_to_u64(*session_field,
+                       std::numeric_limits<std::uint64_t>::max(), session_id)) {
     return make_error(id, code::kBadRequest,
                       "field 'session' must be an integer session id");
   }
@@ -500,8 +501,9 @@ std::string Service::dispatch_session_command(std::uint64_t id,
           if (kind_name == nullptr ||
               !sim::fault_kind_from_string(*kind_name, event.kind) ||
               index == nullptr ||
-              !json_to_u64(*index, std::numeric_limits<std::uint32_t>::max(),
-                           index_value)) {
+              !io::json_to_u64(*index,
+                               std::numeric_limits<std::uint32_t>::max(),
+                               index_value)) {
             reply = error_reply(id, code::kBadRequest,
                                 "field 'fault' must carry a fault kind "
                                 "name and an integer index");

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "rim/core/assessor.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/scenario.hpp"
+#include "rim/graph/udg.hpp"
 #include "rim/parallel/thread_pool.hpp"
 #include "rim/sim/generators.hpp"
 #include "rim/sim/rng.hpp"
 #include "rim/sim/workload.hpp"
+#include "rim/topology/mst_topology.hpp"
 
 /// Tests for the parallel batch pipeline (Scenario::apply_batch) and the
 /// unified impact assessor (core::Assessor). The contract under test is
@@ -58,27 +61,149 @@ sim::WorkloadConfig small_config(std::uint64_t seed) {
   return config;
 }
 
+/// Constant-density MST scenario (the E19 network family): disks stay
+/// local, so batches run through the incremental wave pipeline instead of
+/// the deferred full-evaluation fallback.
+Scenario make_mst_scenario(std::size_t n, double side, std::uint64_t seed) {
+  const geom::PointSet points = sim::uniform_square(n, side, seed);
+  const graph::Graph udg = graph::build_udg(points, 1.0);
+  const graph::Graph mst = topology::mst_topology(points, udg);
+  return Scenario(points, mst);
+}
+
+/// Spatially local churn (moves jitter by <= 0.3, edge flips go to the
+/// nearest neighbor, adds attach locally): the batch generator that keeps
+/// every disk task small. Generated against \p reference *before* the batch
+/// is applied anywhere, so all replicas see the same mutations.
+std::vector<Mutation> make_local_batch(Scenario& reference, sim::Rng& rng,
+                                       std::size_t size, double side) {
+  std::vector<Mutation> batch;
+  batch.reserve(size);
+  std::size_t n = reference.node_count();
+  const auto clamp = [side](double x) {
+    return x < 0.0 ? 0.0 : (x > side ? side : x);
+  };
+  const std::size_t moves = size / 2;
+  for (std::size_t i = 0; i < moves; ++i) {
+    const auto v = static_cast<NodeId>(rng.next_below(n));
+    const geom::Vec2 old = reference.position(v);
+    batch.push_back(Mutation::move_node(
+        v, {clamp(old.x + rng.uniform(-0.3, 0.3)),
+            clamp(old.y + rng.uniform(-0.3, 0.3))}));
+  }
+  const std::size_t adds = size / 10;
+  for (std::size_t i = 0; i < adds; ++i) {
+    const auto anchor = static_cast<NodeId>(rng.next_below(n));
+    const geom::Vec2 p = reference.position(anchor);
+    batch.push_back(Mutation::add_node(
+        {clamp(p.x + rng.uniform(-0.3, 0.3)),
+         clamp(p.y + rng.uniform(-0.3, 0.3))}));
+    batch.push_back(Mutation::add_edge(static_cast<NodeId>(n), anchor));
+    ++n;
+  }
+  for (std::size_t i = moves + adds; i < size; ++i) {
+    const auto u = static_cast<NodeId>(rng.next_below(n));
+    const NodeId v = reference.nearest_node(reference.position(u), u);
+    if (v == kInvalidNode) continue;
+    batch.push_back(rng.next_double() < 0.5 ? Mutation::add_edge(u, v)
+                                            : Mutation::remove_edge(u, v));
+  }
+  return batch;
+}
+
+/// A "triple field": `active` triples A—B (distance 1) and A—C (distance
+/// 1/2) spaced `active_spacing` apart, plus far-away ballast triples that
+/// only exist to keep the batch's touched-region estimate well below the
+/// deferral threshold. Removing each active A—C edge shrinks exactly one
+/// disk (C's) per triple: with spacing 100 the resulting disk tasks are
+/// pairwise disjoint (one wave); with spacing 0.05 every disk overlaps
+/// every other (each task conflicts with all the others).
+struct TripleField {
+  geom::PointSet points;
+  std::vector<Mutation> batch;
+};
+
+TripleField make_triple_field(std::size_t active, double active_spacing,
+                              std::size_t ballast) {
+  TripleField field;
+  field.points.reserve((active + ballast) * 3);
+  for (std::size_t i = 0; i < active; ++i) {
+    const double x = active_spacing * static_cast<double>(i);
+    field.points.push_back({x, 0.0});        // A
+    field.points.push_back({x + 1.0, 0.0});  // B
+    field.points.push_back({x + 0.5, 0.0});  // C
+  }
+  for (std::size_t i = 0; i < ballast; ++i) {
+    const double x = 100000.0 + 100.0 * static_cast<double>(i);
+    field.points.push_back({x, 0.0});
+    field.points.push_back({x + 1.0, 0.0});
+    field.points.push_back({x + 0.5, 0.0});
+  }
+  for (std::size_t i = 0; i < active; ++i) {
+    const NodeId a = static_cast<NodeId>(3 * i);
+    const NodeId c = static_cast<NodeId>(3 * i + 2);
+    field.batch.push_back(Mutation::remove_edge(a, c));
+  }
+  return field;
+}
+
+Scenario make_triple_scenario(const TripleField& field) {
+  graph::Graph topo(field.points.size());
+  for (NodeId a = 0; a + 2 < field.points.size(); a += 3) {
+    topo.add_edge(a, a + 1);
+    topo.add_edge(a, a + 2);
+  }
+  return Scenario(field.points, topo);
+}
+
+/// One BatchProperty input: a scenario family and its seed.
+///  - kSmallChurn: a 70-node tenant under sim::make_churn_batch (every
+///    mutation kind, teleporting moves, removals with renames).
+///  - kLocalMst: a 3000-node MST under spatially local churn, so the
+///    batches stay on the wave path and fill waves on the pool.
+enum class Family : std::uint8_t { kSmallChurn, kLocalMst };
+
+struct BatchInput {
+  Family family = Family::kSmallChurn;
+  std::uint64_t seed = 0;
+};
+
+// The ctest name suffix: the bare seed for the small family, a tagged seed
+// for the local-churn MST.
+void PrintTo(const BatchInput& input, std::ostream* out) {
+  if (input.family == Family::kLocalMst) *out << "local_mst_";
+  *out << input.seed;
+}
+
 /// The headline property: randomized batches, applied through the pipeline
-/// (both inline and on the shared pool), stay bit-identical to serial
+/// (both inline and on a real 4-thread pool), stay bit-identical to serial
 /// application and to the kBrute oracle after every batch.
-class BatchProperty : public ::testing::TestWithParam<std::uint64_t> {};
+class BatchProperty : public ::testing::TestWithParam<BatchInput> {};
 
 TEST_P(BatchProperty, RandomizedBatchesMatchSerialAndBrute) {
-  const sim::WorkloadConfig config = small_config(GetParam());
-  Scenario serial = sim::make_tenant_scenario(config, 0);
+  const BatchInput input = GetParam();
+  const bool local = input.family == Family::kLocalMst;
+  const sim::WorkloadConfig config = small_config(input.seed);
+  const double mst_side = 15.5;  // ~12.5 nodes per unit square
+  Scenario serial = local ? make_mst_scenario(3000, mst_side, input.seed)
+                          : sim::make_tenant_scenario(config, 0);
   Scenario inline_batch = serial;
   Scenario pooled_batch = serial;
   (void)serial.interference();
   (void)inline_batch.interference();
   (void)pooled_batch.interference();
 
-  sim::Rng rng(GetParam() ^ 0xbadc0deu);
-  for (int round = 0; round < 12; ++round) {
+  parallel::ThreadPool pool(4);
+  sim::Rng rng(input.seed ^ 0xbadc0deu);
+  // Fewer rounds on the large family: the per-round kBrute check is O(n^2).
+  const int rounds = local ? 6 : 12;
+  for (int round = 0; round < rounds; ++round) {
     const std::vector<Mutation> batch =
-        sim::make_churn_batch(rng, serial.node_count(), config);
+        local ? make_local_batch(serial, rng, 20, mst_side)
+              : sim::make_churn_batch(rng, serial.node_count(), config);
     for (const Mutation& m : batch) serial.apply(m);
     inline_batch.apply_batch(batch, nullptr);
-    pooled_batch.apply_batch(batch, &parallel::ThreadPool::shared());
+    pooled_batch.apply_batch(batch, &pool);
 
     expect_scenarios_identical(serial, inline_batch, "inline vs serial");
     expect_scenarios_identical(serial, pooled_batch, "pooled vs serial");
@@ -86,10 +211,22 @@ TEST_P(BatchProperty, RandomizedBatchesMatchSerialAndBrute) {
   }
   EXPECT_GT(inline_batch.stats().batches, 0u);
   EXPECT_GT(inline_batch.stats().batch_mutations, 0u);
+  if (local) {
+    // Some wave was wide enough to be dispatched to the pool.
+    EXPECT_GE(pooled_batch.stats().batch_wave_tasks.max(),
+              EvalOptions{}.batch_min_parallel_tasks);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchProperty,
-                         ::testing::Values(11u, 22u, 33u, 44u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BatchProperty,
+    ::testing::Values(BatchInput{Family::kSmallChurn, 11},
+                      BatchInput{Family::kSmallChurn, 22},
+                      BatchInput{Family::kSmallChurn, 33},
+                      BatchInput{Family::kSmallChurn, 44},
+                      BatchInput{Family::kLocalMst, 17},
+                      BatchInput{Family::kLocalMst, 29},
+                      BatchInput{Family::kLocalMst, 41}));
 
 TEST(ApplyBatch, EmptyBatchIsNoOp) {
   const auto points = sim::uniform_square(30, 1.5, 5);
@@ -237,6 +374,41 @@ TEST(ApplyBatch, StatsJsonExposesBatchCounters) {
   EXPECT_NE(json.find("batch_disk_tasks"), std::string::npos);
   EXPECT_NE(json.find("batch_wave_tasks"), std::string::npos);
   EXPECT_NE(json.find("\"grid\""), std::string::npos);
+}
+
+/// Applies the triple-field batch through the wave pipeline on a 4-worker
+/// pool and checks it against serial application and the brute oracle.
+void expect_triple_field_waves(double spacing, std::size_t ballast,
+                               std::size_t waves) {
+  parallel::ThreadPool pool(4);
+  const TripleField field = make_triple_field(8, spacing, ballast);
+  Scenario serial = make_triple_scenario(field);
+  Scenario batched = make_triple_scenario(field);
+  (void)serial.interference();
+  (void)batched.interference();
+
+  const BatchResult result = batched.apply_batch(field.batch, &pool);
+  for (const Mutation& m : field.batch) serial.apply(m);
+
+  // One disk task per active triple: C's disk shrinks to nothing, A's
+  // farthest neighbor stays B.
+  ASSERT_FALSE(result.deferred) << "spacing " << spacing;
+  EXPECT_EQ(result.disk_tasks, 8u) << "spacing " << spacing;
+  EXPECT_EQ(result.waves, waves) << "spacing " << spacing;
+  expect_scenarios_identical(serial, batched, "triple field vs serial");
+  expect_matches_brute(batched, "triple field vs brute");
+}
+
+TEST(ApplyBatch, DisjointTripleFieldRunsInOneWave) {
+  // Spacing 100: the eight shrinking disks are pairwise disjoint, so the
+  // whole batch is one wave.
+  expect_triple_field_waves(100.0, 56, 1);
+}
+
+TEST(ApplyBatch, ClusteredTripleFieldRunsOneWavePerTask) {
+  // Spacing 0.05 stacks the eight disks inside ~1.4 units: every task
+  // conflicts with every other, one wave each.
+  expect_triple_field_waves(0.05, 248, 8);
 }
 
 // --- Assessor::assess ----------------------------------------------------

@@ -170,9 +170,12 @@ TEST(SnapshotTest, JsonTamperIsRejected) {
   // Bump the version: rejected as unsupported, not migrated.
   {
     std::string tampered = text;
-    const std::size_t at = tampered.find("\"version\":2");
+    const std::string current =
+        "\"version\":" + std::to_string(Snapshot::kVersion);
+    const std::size_t at = tampered.find(current);
     ASSERT_NE(at, std::string::npos);
-    tampered.replace(at, 11, "\"version\":3");
+    tampered.replace(at, current.size(),
+                     "\"version\":" + std::to_string(Snapshot::kVersion + 1));
     io::Json doc;
     std::string error;
     ASSERT_TRUE(io::Json::parse(tampered, doc, error)) << error;
@@ -194,6 +197,48 @@ TEST(SnapshotTest, JsonTamperIsRejected) {
     ASSERT_TRUE(io::Json::parse(tampered, doc, error)) << error;
     Snapshot out;
     EXPECT_FALSE(Snapshot::from_json(doc, out, error));
+  }
+  // Integer fields holding negative, fractional, or out-of-range numbers
+  // (wire input reaches from_json through restore/replicate_session) are
+  // refused by the integer check itself with a typed decode error, before
+  // any cast and before the checksum comparison.
+  const struct {
+    const char* key;  // the text preceding the first digit of the value
+    const char* value;
+  } bad_integers[] = {
+      {"\"version\":", "-1e300"},
+      {"\"version\":", "3.5"},
+      {"\"edge_count\":", "-1"},
+      {"\"edge_count\":", "2.5"},
+      {"\"node_count\":", "1e300"},
+      {"\"touched_floor\":", "-1e300"},
+      {"\"auto_grid_max_nodes\":", "1e20"},
+      {"\"batch_min_parallel_tasks\":", "0.5"},
+      {"\"strategy\":", "2.5"},
+      {"\"adjacency\":[[", "4294967296"},
+      {"\"adjacency\":[[", "-1"},
+      {"\"interference\":[", "-1"},
+      {"\"interference\":[", "1e300"},
+  };
+  for (const auto& bad : bad_integers) {
+    const std::string key = bad.key;
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + key.size();
+    const std::size_t end = text.find_first_not_of("0123456789", begin);
+    ASSERT_GT(end, begin) << key << " has no integer value to replace";
+    const std::string tampered =
+        text.substr(0, begin) + bad.value + text.substr(end);
+    io::Json doc;
+    std::string error;
+    ASSERT_TRUE(io::Json::parse(tampered, doc, error)) << error;
+    Snapshot out;
+    EXPECT_FALSE(Snapshot::from_json(doc, out, error))
+        << key << bad.value << " accepted";
+    EXPECT_NE(error.find("snapshot decode error"), std::string::npos)
+        << key << bad.value << ": " << error;
+    EXPECT_EQ(error.find("checksum"), std::string::npos)
+        << key << bad.value << " slipped past the integer check: " << error;
   }
 }
 

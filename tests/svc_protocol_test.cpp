@@ -166,23 +166,23 @@ TEST(SvcMutationCodec, RejectsStructuralGarbage) {
 
 TEST(SvcJsonToU64, AcceptsExactIntegersInRange) {
   std::uint64_t out = 0;
-  EXPECT_TRUE(json_to_u64(io::Json(0), 10, out));
+  EXPECT_TRUE(io::json_to_u64(io::Json(0), 10, out));
   EXPECT_EQ(out, 0u);
-  EXPECT_TRUE(json_to_u64(io::Json(10), 10, out));
+  EXPECT_TRUE(io::json_to_u64(io::Json(10), 10, out));
   EXPECT_EQ(out, 10u);
 }
 
 TEST(SvcJsonToU64, RejectsNonIntegersAndOutOfRange) {
   std::uint64_t out = 0;
-  EXPECT_FALSE(json_to_u64(io::Json(11), 10, out));
-  EXPECT_FALSE(json_to_u64(io::Json(-1), 10, out));
-  EXPECT_FALSE(json_to_u64(io::Json(2.5), 10, out));
-  EXPECT_FALSE(json_to_u64(io::Json("7"), 10, out));
-  EXPECT_FALSE(json_to_u64(io::Json(true), 10, out));
-  EXPECT_FALSE(json_to_u64(io::Json(nullptr), 10, out));
+  EXPECT_FALSE(io::json_to_u64(io::Json(11), 10, out));
+  EXPECT_FALSE(io::json_to_u64(io::Json(-1), 10, out));
+  EXPECT_FALSE(io::json_to_u64(io::Json(2.5), 10, out));
+  EXPECT_FALSE(io::json_to_u64(io::Json("7"), 10, out));
+  EXPECT_FALSE(io::json_to_u64(io::Json(true), 10, out));
+  EXPECT_FALSE(io::json_to_u64(io::Json(nullptr), 10, out));
   // Beyond 2^53 doubles cannot represent every integer exactly; the
   // helper refuses the whole range rather than guess.
-  EXPECT_FALSE(json_to_u64(io::Json(9.1e18),
+  EXPECT_FALSE(io::json_to_u64(io::Json(9.1e18),
                            std::numeric_limits<std::uint64_t>::max(), out));
 }
 
