@@ -1,12 +1,13 @@
 /// Experiment E12 — performance of the library's kernels (google-benchmark):
 /// interference evaluation strategies, UDG construction, spatial indices,
-/// and the Section 5 algorithms.
+/// the Section 5 algorithms, and the JSON codec on wire-sized documents.
 
 #include <benchmark/benchmark.h>
 
 #include "rim/core/interference.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/scenario.hpp"
+#include "rim/core/snapshot.hpp"
 #include "rim/geom/grid_index.hpp"
 #include "rim/graph/udg.hpp"
 #include "rim/highway/a_apx.hpp"
@@ -14,10 +15,14 @@
 #include "rim/highway/a_gen.hpp"
 #include "rim/highway/highway_instance.hpp"
 #include "rim/highway/interference_1d.hpp"
+#include "rim/io/json.hpp"
 #include "rim/sim/generators.hpp"
 #include "rim/sim/rng.hpp"
+#include "rim/svc/protocol.hpp"
 #include "rim/topology/mst_topology.hpp"
 #include "rim/topology/registry.hpp"
+
+#include "local_trace.hpp"
 
 namespace {
 
@@ -199,5 +204,64 @@ void BM_TopologyAlgorithms(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopologyAlgorithms)->DenseRange(0, 9);
+
+/// An apply_batch request as svc::Client sends it: one 256-mutation
+/// local-churn batch (~294 mutations after its edge repairs), the batch
+/// shape of the serving benchmark's bulk_churn workload.
+io::Json batch_request() {
+  const Prepared p = prepare(2000);
+  const double side = std::sqrt(2000.0 / 12.5);
+  bench::LocalTrace trace(p.points, side, 25);
+  io::JsonArray mutations;
+  for (const core::Mutation& m : trace.next_batch(256)) {
+    mutations.push_back(svc::mutation_to_json(m));
+  }
+  io::JsonObject request;
+  request["batch"] = io::Json(std::move(mutations));
+  request["cmd"] = io::Json(svc::cmd::kApplyBatch);
+  request["id"] = io::Json(1);
+  request["session"] = io::Json(1);
+  return io::Json(std::move(request));
+}
+
+void BM_JsonDumpBatch(benchmark::State& state) {
+  const io::Json request = batch_request();
+  state.SetLabel(
+      std::to_string(request.find("batch")->as_array()->size()) +
+      " mutations");
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = request.dump();
+    bytes += text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_JsonDumpBatch);
+
+void parse_loop(benchmark::State& state, const std::string& text) {
+  for (auto _ : state) {
+    io::Json parsed;
+    std::string error;
+    if (!io::Json::parse(text, parsed, error)) state.SkipWithError("parse");
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+
+void BM_JsonParseBatch(benchmark::State& state) {
+  parse_loop(state, batch_request().dump());
+}
+BENCHMARK(BM_JsonParseBatch);
+
+void BM_JsonParseSnapshot(benchmark::State& state) {
+  // A 2000-node session snapshot: the document a replica ship carries.
+  const Prepared p = prepare(2000);
+  core::Scenario scenario(p.points, p.mst);
+  parse_loop(state, scenario.snapshot().to_json().dump());
+}
+BENCHMARK(BM_JsonParseSnapshot);
 
 }  // namespace

@@ -35,8 +35,8 @@ bool call_ok(const Exchange& exchange, const std::string& backend,
             (text != nullptr ? *text : std::string("unknown error"));
     return false;
   }
-  const io::Json* result_field = document.find("result");
-  result = result_field != nullptr ? *result_field : io::Json();
+  io::Json* result_field = document.find("result");
+  result = result_field != nullptr ? std::move(*result_field) : io::Json();
   return true;
 }
 
@@ -47,9 +47,8 @@ bool rewrite_session(const std::string& payload, std::uint64_t session,
                      std::string& out, std::string& error) {
   io::Json request;
   if (!io::Json::parse(payload, request, error)) return false;
-  io::JsonObject object = *request.as_object();
-  object["session"] = io::Json(session);
-  out = io::Json(std::move(object)).dump();
+  (*request.as_object())["session"] = io::Json(session);
+  out = request.dump();
   return true;
 }
 
@@ -100,7 +99,7 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
     ++counters_.ship_failures;
     return false;
   }
-  const io::Json* snapshot_doc = snapshot_result.find("snapshot");
+  io::Json* snapshot_doc = snapshot_result.find("snapshot");
   if (snapshot_doc == nullptr) {
     ++counters_.ship_failures;
     return false;
@@ -122,7 +121,7 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
   replicate_request["id"] = io::Json(std::uint64_t{0});
   replicate_request["origin"] = io::Json(origin);
   replicate_request["seq"] = io::Json(seq);
-  replicate_request["snapshot"] = *snapshot_doc;
+  replicate_request["snapshot"] = std::move(*snapshot_doc);
   io::Json replicate_result;
   if (!call_ok(exchange, peer,
                io::Json(std::move(replicate_request)).dump(),

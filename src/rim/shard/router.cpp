@@ -201,7 +201,7 @@ std::string Router::dispatch(std::string_view payload) {
 
 std::string Router::dispatch_command(std::uint64_t id,
                                      const std::string& command,
-                                     const io::Json& request) {
+                                     io::Json& request) {
   if (command == svc::cmd::kPing) {
     io::JsonObject result;
     result["pong"] = io::Json(true);
@@ -367,7 +367,7 @@ std::string Router::close_session(std::uint64_t id, const io::Json& request) {
 
 std::string Router::route_session_command(std::uint64_t id,
                                           const std::string& command,
-                                          const io::Json& request) {
+                                          io::Json& request) {
   if (!is_session_command(command)) {
     return svc::make_error(id, svc::code::kUnknownCommand,
                            "unknown command '" + command + "'");
@@ -397,7 +397,7 @@ std::string Router::route_session_command(std::uint64_t id,
 
 std::string Router::forward_locked(SessionEntry& entry, std::uint64_t id,
                                    const std::string& command,
-                                   const io::Json& request) {
+                                   io::Json& request) {
   std::string error;
   {
     Backend* owner = backend_by_name(entry.owner);
@@ -418,9 +418,11 @@ std::string Router::forward_locked(SessionEntry& entry, std::uint64_t id,
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     Backend* backend = backend_by_name(entry.owner);
     if (backend == nullptr) break;
-    io::JsonObject forward = *request.as_object();
-    forward["session"] = io::Json(entry.backend_session);
-    const std::string payload = io::Json(std::move(forward)).dump();
+    // The field exists (route_session_command read it), so this assigns
+    // in place: no insertion, so `command`, which points into the
+    // request, stays valid.
+    (*request.as_object())["session"] = io::Json(entry.backend_session);
+    const std::string payload = request.dump();
     std::string response;
     const svc::TransportStatus status =
         exchange_with(*backend, payload, response);

@@ -234,19 +234,20 @@ class Router final : public svc::RequestHandler {
   [[nodiscard]] std::string dispatch(std::string_view payload);
   [[nodiscard]] std::string dispatch_command(std::uint64_t id,
                                              const std::string& command,
-                                             const io::Json& request);
+                                             io::Json& request);
   [[nodiscard]] std::string create_session(std::uint64_t id);
   [[nodiscard]] std::string close_session(std::uint64_t id,
                                           const io::Json& request);
   [[nodiscard]] std::string route_session_command(std::uint64_t id,
                                                   const std::string& command,
-                                                  const io::Json& request);
+                                                  io::Json& request);
   /// Forward one session command; retries across failovers. Requires the
-  /// entry mutex (journal order is the replay contract).
+  /// entry mutex (journal order is the replay contract). Rewrites the
+  /// request's "session" field in place to the backend's session id.
   [[nodiscard]] std::string forward_locked(SessionEntry& entry,
                                            std::uint64_t id,
                                            const std::string& command,
-                                           const io::Json& request)
+                                           io::Json& request)
       RIM_REQUIRES(entry.entry_mutex);
   /// Move \p entry off its dead owner: restore at the replica peer (or a
   /// fresh backend when nothing was shipped), then re-ship to a new peer.

@@ -97,8 +97,8 @@ SvcResult<io::Json> Client::try_call(const std::string& command,
     error_code_ = code_str != nullptr ? *code_str : error.wire_code();
     return common::Unexpected(std::move(error));
   }
-  const io::Json* result_field = response.find("result");
-  return result_field != nullptr ? *result_field : io::Json();
+  io::Json* result_field = response.find("result");
+  return result_field != nullptr ? std::move(*result_field) : io::Json();
 }
 
 SvcResult<void> Client::try_ping() {

@@ -16,16 +16,21 @@ std::string encode_frame(std::string_view payload) {
   return frame;
 }
 
-FrameStatus try_decode_frame(std::string_view buffer,
-                             std::size_t max_frame_bytes, std::size_t& consumed,
-                             std::string& payload) {
-  if (buffer.size() < kFrameHeaderBytes) return FrameStatus::kNeedMore;
+std::uint32_t frame_length(std::string_view buffer) {
   std::uint32_t length = 0;
   for (std::size_t byte = 0; byte < kFrameHeaderBytes; ++byte) {
     length |= static_cast<std::uint32_t>(
                   static_cast<unsigned char>(buffer[byte]))
               << (8 * byte);
   }
+  return length;
+}
+
+FrameStatus try_decode_frame(std::string_view buffer,
+                             std::size_t max_frame_bytes, std::size_t& consumed,
+                             std::string& payload) {
+  if (buffer.size() < kFrameHeaderBytes) return FrameStatus::kNeedMore;
+  const std::uint32_t length = frame_length(buffer);
   if (length > max_frame_bytes) return FrameStatus::kTooLarge;
   if (buffer.size() < kFrameHeaderBytes + length) return FrameStatus::kNeedMore;
   payload.assign(buffer.substr(kFrameHeaderBytes, length));

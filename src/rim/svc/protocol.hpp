@@ -58,11 +58,16 @@ enum class FrameStatus : std::uint8_t {
   kTooLarge,  ///< declared length exceeds the cap; the stream is poisoned
 };
 
+/// The payload length declared by the frame header at the front of
+/// \p buffer, which must hold at least kFrameHeaderBytes bytes.
+[[nodiscard]] std::uint32_t frame_length(std::string_view buffer);
+
 /// Try to decode one frame from the front of \p buffer. On kFrame,
 /// \p consumed is the total bytes to drop from the buffer and \p payload
 /// holds the payload copy; on kNeedMore both outputs are untouched; on
-/// kTooLarge the declared length exceeded \p max_frame_bytes and the
-/// caller must abandon the stream (there is no way to resynchronise).
+/// kTooLarge the declared length exceeded \p max_frame_bytes: the caller
+/// must either read past frame_length() bytes of payload or abandon the
+/// stream (a server does the latter: it cannot trust the header).
 [[nodiscard]] FrameStatus try_decode_frame(std::string_view buffer,
                                            std::size_t max_frame_bytes,
                                            std::size_t& consumed,

@@ -8,6 +8,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -304,6 +305,25 @@ TransportStatus TcpClientTransport::roundtrip(std::string_view frame,
     if (status == FrameStatus::kTooLarge) {
       error = "response frame exceeds max_response_frame_bytes (" +
               std::to_string(max_response_frame_bytes) + ")";
+      // Read past the refused frame so the next exchange on this
+      // connection starts at a frame boundary instead of mid-payload.
+      const std::size_t frame_bytes = kFrameHeaderBytes + frame_length(buffer);
+      std::size_t remaining =
+          frame_bytes > buffer.size() ? frame_bytes - buffer.size() : 0;
+      while (remaining > 0) {
+        const ssize_t n = ::recv(fd_, chunk.data(),
+                                 std::min(chunk.size(), remaining), 0);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) {
+          error += n == 0 ? "; connection closed while discarding it"
+                          : std::string("; recv while discarding it: ") +
+                                std::strerror(errno);
+          ::close(fd_);
+          fd_ = -1;
+          return TransportStatus::kConnectionLost;
+        }
+        remaining -= static_cast<std::size_t>(n);
+      }
       return TransportStatus::kError;
     }
     const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);

@@ -133,7 +133,9 @@ class TcpClientTransport final : public Transport {
                                           std::string& error) override;
 
   /// Response payload frames larger than this are treated as a transport
-  /// error (default matches the server-side frame cap).
+  /// error (default matches the server-side frame cap). The refused frame
+  /// is read and discarded, so the connection stays usable; only a failure
+  /// while discarding it reports kConnectionLost.
   // RIM_LINT_ALLOW(project-annotation-coverage): pre-connection
   // configuration knob — set before the client is shared, constant during
   // exchanges (the documented request/response-per-frame contract).

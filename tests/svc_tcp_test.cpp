@@ -190,6 +190,49 @@ TEST(SvcTcp, OversizedFrameAnswersBadFrameAndDrops) {
   server.stop();
 }
 
+TEST(SvcTcp, OversizedResponseIsDiscardedAndTheConnectionStaysUsable) {
+  ServiceConfig config;
+  config.batch_pool_threads = 1;
+  Service service(config);
+  TcpServer server(service, {.port = 0, .dispatch_threads = 1});
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+
+  TcpClientTransport transport;
+  transport.max_response_frame_bytes = 512;
+  ASSERT_TRUE(transport.connect_to("127.0.0.1", server.port(), error))
+      << error;
+  Client client(transport);
+  std::uint64_t session = 0;
+  ASSERT_TRUE(ok(client.try_create_session(), session));
+  // 40,000 isolated nodes: the whole-session query answers ~80 KB, more
+  // than one receive chunk, while every batch result stays small.
+  for (int chunk = 0; chunk < 4; ++chunk) {
+    std::vector<Mutation> batch;
+    for (int i = 0; i < 10000; ++i) {
+      batch.push_back(Mutation::add_node({1.0 * i, 1.0 * chunk}));
+    }
+    core::BatchResult applied;
+    ASSERT_TRUE(ok(client.try_apply_batch(session, batch), applied));
+  }
+  io::Json doc;
+  EXPECT_FALSE(ok(client.try_query_interference(session), doc));
+  EXPECT_EQ(client.error_code(), "transport");
+  EXPECT_NE(client.error().find("max_response_frame_bytes"),
+            std::string::npos)
+      << client.error();
+  // The refused frame was read past, so the same connection answers the
+  // next requests in step.
+  ASSERT_TRUE(ok(client.try_ping())) << client.error();
+  EXPECT_NE(client.last_response_payload().find("\"pong\":true"),
+            std::string::npos);
+  std::uint32_t value = 0;
+  ASSERT_TRUE(ok(client.try_query_interference_of(session, 7), value))
+      << client.error();
+  EXPECT_EQ(value, 0u);
+  server.stop();
+}
+
 TEST(SvcTcp, StopWithConnectedClientsIsClean) {
   ServiceConfig config;
   config.batch_pool_threads = 1;
