@@ -1,6 +1,7 @@
 /// Experiment E12 — performance of the library's kernels (google-benchmark):
 /// interference evaluation strategies, UDG construction, spatial indices,
-/// the Section 5 algorithms, and the JSON codec on wire-sized documents.
+/// the Section 5 algorithms, the JSON codec on wire-sized documents, and
+/// the snapshot codec and replica ship those documents carry.
 
 #include <benchmark/benchmark.h>
 
@@ -16,9 +17,11 @@
 #include "rim/highway/highway_instance.hpp"
 #include "rim/highway/interference_1d.hpp"
 #include "rim/io/json.hpp"
+#include "rim/shard/replicator.hpp"
 #include "rim/sim/generators.hpp"
 #include "rim/sim/rng.hpp"
 #include "rim/svc/protocol.hpp"
+#include "rim/svc/service.hpp"
 #include "rim/topology/mst_topology.hpp"
 #include "rim/topology/registry.hpp"
 
@@ -256,12 +259,74 @@ void BM_JsonParseBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonParseBatch);
 
-void BM_JsonParseSnapshot(benchmark::State& state) {
-  // A 2000-node session snapshot: the document a replica ship carries.
+/// A 2000-node session snapshot: the document a replica ship carries.
+core::Snapshot session_snapshot() {
   const Prepared p = prepare(2000);
   core::Scenario scenario(p.points, p.mst);
-  parse_loop(state, scenario.snapshot().to_json().dump());
+  return scenario.snapshot();
+}
+
+void BM_JsonParseSnapshot(benchmark::State& state) {
+  parse_loop(state, session_snapshot().to_json().dump());
 }
 BENCHMARK(BM_JsonParseSnapshot);
+
+void BM_SnapshotToJson(benchmark::State& state) {
+  const core::Snapshot snapshot = session_snapshot();
+  for (auto _ : state) {
+    io::Json document = snapshot.to_json();
+    benchmark::DoNotOptimize(document);
+  }
+}
+BENCHMARK(BM_SnapshotToJson);
+
+void BM_SnapshotFromJson(benchmark::State& state) {
+  const io::Json document = session_snapshot().to_json();
+  for (auto _ : state) {
+    core::Snapshot decoded;
+    std::string error;
+    if (!core::Snapshot::from_json(document, decoded, error)) {
+      state.SkipWithError("from_json");
+    }
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_SnapshotFromJson);
+
+void BM_ReplicaShip(benchmark::State& state) {
+  // One full ship of a 2000-node session: owner snapshot and encode, the
+  // router's hop, peer decode, verify and store. Owner and peer are real
+  // Services; the exchange calls them in-process, so no socket time.
+  svc::ServiceConfig config;
+  config.batch_pool_threads = 1;
+  svc::Service owner(config);
+  svc::Service peer(config);
+  (void)owner.handle(R"({"cmd":"create_session","id":1})");
+  io::JsonObject restore;
+  restore["cmd"] = io::Json(svc::cmd::kRestore);
+  restore["id"] = io::Json(2);
+  restore["session"] = io::Json(1);
+  restore["snapshot"] = session_snapshot().to_json();
+  if (owner.handle(io::Json(std::move(restore)).dump())
+          .find("\"ok\":true") == std::string::npos) {
+    state.SkipWithError("restore");
+    return;
+  }
+  const shard::Exchange exchange =
+      [&](const std::string& backend, const std::string& payload,
+          std::string& response) {
+        response = (backend == "owner" ? owner : peer).handle(payload);
+        return svc::TransportStatus::kOk;
+      };
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState replica;
+  for (auto _ : state) {
+    if (!replicator.ship(1, "owner", 1, "peer", exchange, replica, 0)) {
+      state.SkipWithError("ship");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_ReplicaShip)->Unit(benchmark::kMillisecond);
 
 }  // namespace

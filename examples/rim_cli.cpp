@@ -428,16 +428,21 @@ int cmd_shard_status(const Args& args) {
   std::cout << payload << '\n';
   const io::Json* result = document.find("result");
   if (result != nullptr) {
-    const auto field = [&](const char* key) -> std::uint64_t {
-      const io::Json* value = result->find(key);
+    const auto count = [](const io::Json* object,
+                          const char* key) -> std::uint64_t {
+      const io::Json* value = object != nullptr ? object->find(key) : nullptr;
       return value != nullptr
                  ? static_cast<std::uint64_t>(value->as_number(0.0))
                  : 0;
     };
-    std::cout << "shard-status: sessions=" << field("sessions")
-              << " moved=" << field("sessions_moved")
-              << " lost=" << field("lost_sessions")
-              << " failovers=" << field("failovers") << '\n';
+    const io::Json* replication = result->find("replication");
+    std::cout << "shard-status: sessions=" << count(result, "sessions")
+              << " moved=" << count(result, "sessions_moved")
+              << " lost=" << count(result, "lost_sessions")
+              << " failovers=" << count(result, "failovers")
+              << " shipped=" << count(replication, "shipped")
+              << " ship_failures=" << count(replication, "ship_failures")
+              << '\n';
   }
   return 0;
 }

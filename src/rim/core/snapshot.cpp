@@ -12,13 +12,23 @@ constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 constexpr char kMagic[8] = {'R', 'I', 'M', 'S', 'N', 'A', 'P', '1'};
 
-std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = kFnvOffset;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= kFnvPrime;
+/// FNV-1a, one byte at a time.
+class Fnv1a {
+ public:
+  void put(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= kFnvPrime;
   }
-  return h;
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = kFnvOffset;
+};
+
+std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) {
+  Fnv1a h;
+  for (const std::uint8_t b : bytes) h.put(b);
+  return h.value();
 }
 
 std::uint64_t double_bits(double d) {
@@ -33,25 +43,38 @@ double bits_double(std::uint64_t bits) {
   return d;
 }
 
+/// The 16 lowercase hex digits of \p value's bit pattern, written to
+/// out[0..16).
+void write_hex_bits(double value, char* out) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  const std::uint64_t bits = double_bits(value);
+  for (int i = 0; i < 16; ++i) out[i] = kDigits[(bits >> (4 * (15 - i))) & 0xF];
+}
+
+/// Appends to a byte vector (to_bytes).
+struct ByteSink {
+  std::vector<std::uint8_t> bytes;
+  void put(std::uint8_t b) { bytes.push_back(b); }
+};
+
+/// Little-endian field writer over a byte sink: a ByteSink to keep the
+/// bytes, an Fnv1a to hash them as they are written (payload_checksum).
+template <typename Sink>
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  explicit ByteWriter(Sink& sink) : sink_(sink) {}
+
+  void u8(std::uint8_t v) { sink_.put(v); }
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void f64(double v) { u64(double_bits(v)); }
 
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
-
  private:
-  std::vector<std::uint8_t> out_;
+  Sink& sink_;
 };
 
 /// Bounds-checked little-endian reader; every accessor reports truncation
@@ -96,9 +119,10 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Serialise everything except the trailing checksum.
-std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
-  ByteWriter w;
+/// Serialise everything except the trailing checksum into \p sink.
+template <typename Sink>
+void encode_payload(const Snapshot& s, Sink& sink) {
+  ByteWriter<Sink> w(sink);
   for (const char c : kMagic) w.u8(static_cast<std::uint8_t>(c));
   w.u32(Snapshot::kVersion);
   w.u32((s.cache_valid ? 1u : 0u) | (s.grid_built ? 2u : 0u));
@@ -123,7 +147,6 @@ std::vector<std::uint8_t> encode_payload(const Snapshot& s) {
   if (s.cache_valid) {
     for (const std::uint32_t i : s.interference) w.u32(i);
   }
-  return w.take();
 }
 
 bool decode_fail(std::string& error, const std::string& what) {
@@ -158,17 +181,12 @@ std::uint64_t fnv1a_words(std::span<const std::uint32_t> words) {
 }
 
 std::string double_to_hex_bits(double value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  const std::uint64_t bits = double_bits(value);
   std::string out(16, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        kDigits[(bits >> (4 * (15 - i))) & 0xF];
-  }
+  write_hex_bits(value, out.data());
   return out;
 }
 
-bool double_from_hex_bits(const std::string& hex, double& value) {
+bool double_from_hex_bits(std::string_view hex, double& value) {
   if (hex.size() != 16) return false;
   std::uint64_t bits = 0;
   for (const char c : hex) {
@@ -188,7 +206,9 @@ bool double_from_hex_bits(const std::string& hex, double& value) {
 }
 
 std::uint64_t Snapshot::payload_checksum() const {
-  return fnv1a_bytes(encode_payload(*this));
+  Fnv1a hash;
+  encode_payload(*this, hash);
+  return hash.value();
 }
 
 std::uint64_t Snapshot::interference_checksum() const {
@@ -233,13 +253,11 @@ bool Snapshot::validate(std::string& error) const {
 }
 
 std::vector<std::uint8_t> Snapshot::to_bytes() const {
-  std::vector<std::uint8_t> payload = encode_payload(*this);
-  const std::uint64_t checksum = fnv1a_bytes(payload);
-  ByteWriter tail;
-  tail.u64(checksum);
-  const std::vector<std::uint8_t> checksum_bytes = tail.take();
-  payload.insert(payload.end(), checksum_bytes.begin(), checksum_bytes.end());
-  return payload;
+  ByteSink sink;
+  encode_payload(*this, sink);
+  const std::uint64_t checksum = fnv1a_bytes(sink.bytes);
+  ByteWriter<ByteSink>(sink).u64(checksum);
+  return std::move(sink.bytes);
 }
 
 bool Snapshot::from_bytes(std::span<const std::uint8_t> bytes, Snapshot& out,
@@ -361,8 +379,10 @@ io::Json Snapshot::to_json() const {
     io::JsonArray points_bits;
     points_bits.reserve(points.size());
     for (const geom::Vec2 p : points) {
-      points_bits.emplace_back(double_to_hex_bits(p.x) +
-                               double_to_hex_bits(p.y));
+      std::string bits(32, '0');
+      write_hex_bits(p.x, bits.data());
+      write_hex_bits(p.y, bits.data() + 16);
+      points_bits.emplace_back(std::move(bits));
     }
     o["points_bits"] = io::Json(std::move(points_bits));
   }
@@ -397,7 +417,7 @@ io::Json Snapshot::to_json() const {
 }
 
 bool Snapshot::from_json(const io::Json& json, Snapshot& out,
-                         std::string& error) {
+                         std::string& error, std::uint64_t* checksum) {
   out = Snapshot{};
   const auto* format = json.find("format");
   if (format == nullptr || format->as_string() == nullptr ||
@@ -456,8 +476,8 @@ bool Snapshot::from_json(const io::Json& json, Snapshot& out,
     const std::string* s = entry.as_string();
     geom::Vec2 p;
     if (s == nullptr || s->size() != 32 ||
-        !double_from_hex_bits(s->substr(0, 16), p.x) ||
-        !double_from_hex_bits(s->substr(16, 16), p.y)) {
+        !double_from_hex_bits(std::string_view(*s).substr(0, 16), p.x) ||
+        !double_from_hex_bits(std::string_view(*s).substr(16, 16), p.y)) {
       return decode_fail(error, "malformed points_bits entry");
     }
     out.points.push_back(p);
@@ -513,10 +533,12 @@ bool Snapshot::from_json(const io::Json& json, Snapshot& out,
   }
   if (!out.validate(error)) return false;
   double stored_checksum = 0.0;
+  const std::uint64_t computed = out.payload_checksum();
   if (!read_hex_double(json.find("payload_checksum"), stored_checksum) ||
-      double_bits(stored_checksum) != out.payload_checksum()) {
+      double_bits(stored_checksum) != computed) {
     return decode_fail(error, "payload checksum mismatch (tampered document)");
   }
+  if (checksum != nullptr) *checksum = computed;
   return true;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rim/core/interference.hpp"
@@ -72,9 +73,11 @@ struct Snapshot {
   [[nodiscard]] io::Json to_json() const;
 
   /// Parse the to_json() form back. Validates structure and re-derives the
-  /// binary checksum against the embedded one.
+  /// binary checksum against the embedded one; on success \p checksum,
+  /// when given, receives it, so a caller never hashes the payload again.
   [[nodiscard]] static bool from_json(const io::Json& json, Snapshot& out,
-                                      std::string& error);
+                                      std::string& error,
+                                      std::uint64_t* checksum = nullptr);
 
   /// FNV-1a over the canonical binary payload (excluding the trailing
   /// checksum field itself) — the value embedded by both encoders.
@@ -97,6 +100,6 @@ struct Snapshot {
 /// Bit-exact double <-> 16-hex-digit text (used by the JSON encodings of
 /// snapshots and fuzz traces).
 [[nodiscard]] std::string double_to_hex_bits(double value);
-[[nodiscard]] bool double_from_hex_bits(const std::string& hex, double& value);
+[[nodiscard]] bool double_from_hex_bits(std::string_view hex, double& value);
 
 }  // namespace rim::core

@@ -174,14 +174,15 @@ namespace detail {
 
 /// Recursive-descent parser over a string_view cursor. Depth-limited so a
 /// hostile document (e.g. a corrupted snapshot full of '[') cannot blow the
-/// stack — parse failures must be errors, never UB.
+/// stack — parse failures must be errors, never UB. A null output pointer
+/// walks the same grammar without building a value (Json::validate).
 class JsonParser {
  public:
   JsonParser(std::string_view text, std::string& error)
       : text_(text), error_(error) {}
 
-  bool run(Json& out) {
-    if (!parse_value(out, 0)) return false;
+  bool run(Json* out, std::size_t depth) {
+    if (!parse_value(out, depth)) return false;
     skip_whitespace();
     if (pos_ != text_.size()) return fail("trailing characters");
     return true;
@@ -208,10 +209,10 @@ class JsonParser {
     return true;
   }
 
-  bool literal(std::string_view word, Json value, Json& out) {
+  bool literal(std::string_view word, Json value, Json* out) {
     if (text_.substr(pos_, word.size()) != word) return fail("invalid literal");
     pos_ += word.size();
-    out = std::move(value);
+    if (out != nullptr) *out = std::move(value);
     return true;
   }
 
@@ -279,7 +280,7 @@ class JsonParser {
     return fail("unterminated string");
   }
 
-  bool parse_number(Json& out) {
+  bool parse_number(Json* out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size()) {
@@ -319,11 +320,11 @@ class JsonParser {
         return fail("number overflows double");
       }
     }
-    out = Json(value);
+    if (out != nullptr) *out = Json(value);
     return true;
   }
 
-  bool parse_value(Json& out, std::size_t depth) {
+  bool parse_value(Json* out, std::size_t depth) {
     if (depth > Json::kMaxParseDepth) return fail("nesting too deep");
     char c = 0;
     if (!peek(c)) return fail("unexpected end of input");
@@ -332,9 +333,10 @@ class JsonParser {
       case 't': return literal("true", Json(true), out);
       case 'f': return literal("false", Json(false), out);
       case '"': {
+        if (out == nullptr) return parse_string(scratch_);
         std::string s;
         if (!parse_string(s)) return false;
-        out = Json(std::move(s));
+        *out = Json(std::move(s));
         return true;
       }
       case '[': {
@@ -344,18 +346,19 @@ class JsonParser {
         if (!peek(next)) return fail("unterminated array");
         if (next == ']') {
           ++pos_;
-          out = Json(std::move(array));
+          if (out != nullptr) *out = Json(std::move(array));
           return true;
         }
         while (true) {
-          array.emplace_back();
-          if (!parse_value(array.back(), depth + 1)) return false;
+          Json* element = nullptr;
+          if (out != nullptr) element = &array.emplace_back();
+          if (!parse_value(element, depth + 1)) return false;
           if (!peek(next)) return fail("unterminated array");
           ++pos_;
           if (next == ']') break;
           if (next != ',') return fail("expected ',' or ']' in array");
         }
-        out = Json(std::move(array));
+        if (out != nullptr) *out = Json(std::move(array));
         return true;
       }
       case '{': {
@@ -367,23 +370,26 @@ class JsonParser {
         if (!peek(next)) return fail("unterminated object");
         if (next == '}') {
           ++pos_;
-          out = Json(JsonObject());
+          if (out != nullptr) *out = Json(JsonObject());
           return true;
         }
         while (true) {
           if (!peek(next) || next != '"') return fail("expected object key");
           std::string key;
-          if (!parse_string(key)) return false;
+          if (!parse_string(out != nullptr ? key : scratch_)) return false;
           if (!peek(next) || next != ':') return fail("expected ':'");
           ++pos_;
-          members.emplace_back(std::move(key), Json());
-          if (!parse_value(members.back().second, depth + 1)) return false;
+          Json* value = nullptr;
+          if (out != nullptr) {
+            value = &members.emplace_back(std::move(key), Json()).second;
+          }
+          if (!parse_value(value, depth + 1)) return false;
           if (!peek(next)) return fail("unterminated object");
           ++pos_;
           if (next == '}') break;
           if (next != ',') return fail("expected ',' or '}' in object");
         }
-        out = Json(JsonObject(std::move(members)));
+        if (out != nullptr) *out = Json(JsonObject(std::move(members)));
         return true;
       }
       default:
@@ -394,13 +400,22 @@ class JsonParser {
   std::string_view text_;
   std::string& error_;
   std::size_t pos_ = 0;
+  /// Where validation decodes strings it does not keep (one buffer,
+  /// reused, so the walk does not allocate per string).
+  std::string scratch_;
 };
 
 }  // namespace detail
 
 bool Json::parse(std::string_view text, Json& out, std::string& error) {
   error.clear();
-  return detail::JsonParser(text, error).run(out);
+  return detail::JsonParser(text, error).run(&out, 0);
+}
+
+bool Json::validate(std::string_view text, std::string& error,
+                    std::size_t depth) {
+  error.clear();
+  return detail::JsonParser(text, error).run(nullptr, depth);
 }
 
 bool json_to_u64(const Json& json, std::uint64_t max, std::uint64_t& out) {

@@ -120,6 +120,13 @@ class Json {
   [[nodiscard]] static bool parse(std::string_view text, Json& out,
                                   std::string& error);
 
+  /// parse() without building the value: the same grammar, limits and
+  /// error messages, so true iff parse() would accept \p text. \p depth is
+  /// the nesting level \p text sits at inside an enclosing document, so a
+  /// value cut out of one keeps the kMaxParseDepth budget it had there.
+  [[nodiscard]] static bool validate(std::string_view text, std::string& error,
+                                     std::size_t depth = 0);
+
   // --- read accessors (for parsed documents) -----------------------------
 
   [[nodiscard]] bool is_null() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "rim/svc/protocol.hpp"
@@ -10,20 +11,22 @@ namespace rim::shard {
 
 namespace {
 
-/// Run one exchange and parse the response envelope. True iff the
-/// exchange succeeded and the response is ok:true; \p result then holds
-/// the "result" document (null Json when absent).
-bool call_ok(const Exchange& exchange, const std::string& backend,
-             const std::string& payload, io::Json& result,
-             std::string& error) {
-  std::string response;
+/// Run one exchange. False with \p error when the transport failed.
+bool exchange_ok(const Exchange& exchange, const std::string& backend,
+                 const std::string& payload, std::string& response,
+                 std::string& error) {
   const svc::TransportStatus status = exchange(backend, payload, response);
-  if (status != svc::TransportStatus::kOk) {
-    error = status == svc::TransportStatus::kConnectionLost
-                ? "connection to " + backend + " lost"
-                : "exchange with " + backend + " failed";
-    return false;
-  }
+  if (status == svc::TransportStatus::kOk) return true;
+  error = status == svc::TransportStatus::kConnectionLost
+              ? "connection to " + backend + " lost"
+              : "exchange with " + backend + " failed";
+  return false;
+}
+
+/// Parse a response envelope. True iff it is ok:true; \p result then holds
+/// the "result" document (null Json when absent).
+bool parse_ok(const std::string& backend, const std::string& response,
+              io::Json& result, std::string& error) {
   io::Json document;
   if (!io::Json::parse(response, document, error)) return false;
   const io::Json* ok = document.find("ok");
@@ -38,6 +41,47 @@ bool call_ok(const Exchange& exchange, const std::string& backend,
   io::Json* result_field = document.find("result");
   result = result_field != nullptr ? std::move(*result_field) : io::Json();
   return true;
+}
+
+/// Run one exchange and parse the response envelope (see parse_ok).
+bool call_ok(const Exchange& exchange, const std::string& backend,
+             const std::string& payload, io::Json& result,
+             std::string& error) {
+  std::string response;
+  return exchange_ok(exchange, backend, payload, response, error) &&
+         parse_ok(backend, response, result, error);
+}
+
+/// The owner's answer to {"cmd":"snapshot","id":0,...} as its codec dumps
+/// it: the snapshot document sits between these two fixed strings.
+constexpr std::string_view kSnapshotHead =
+    R"({"id":0,"ok":true,"result":{"snapshot":)";
+constexpr std::string_view kSnapshotTail = "}}";
+/// Nesting level of the snapshot value inside that envelope.
+constexpr std::size_t kSnapshotDepth = 2;
+
+/// Cut the snapshot document out of the owner's \p response without
+/// building it. True iff the response is exactly the envelope above around
+/// one well-formed JSON value; \p snapshot then views that value's bytes.
+/// Anything else (an error envelope, another member, trailing bytes, a
+/// document parse() refuses) is false, with the reason in \p error.
+bool cut_snapshot(const std::string& owner, const std::string& response,
+                  std::string_view& snapshot, std::string& error) {
+  const std::string_view text(response);
+  if (text.size() >= kSnapshotHead.size() + kSnapshotTail.size() &&
+      text.starts_with(kSnapshotHead) && text.ends_with(kSnapshotTail)) {
+    snapshot = text.substr(kSnapshotHead.size(), text.size() -
+                                                     kSnapshotHead.size() -
+                                                     kSnapshotTail.size());
+    if (io::Json::validate(snapshot, error, kSnapshotDepth)) return true;
+  }
+  // Not the canonical envelope: the full parse names the failure (an
+  // error envelope's text, or where the document breaks).
+  io::Json result;
+  if (parse_ok(owner, response, result, error)) {
+    error = owner + " answered with an unexpected snapshot envelope";
+  }
+  return false;
 }
 
 /// Rewrite the "session" field of a journaled request payload to the
@@ -93,14 +137,12 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
   snapshot_request["cmd"] = io::Json(svc::cmd::kSnapshot);
   snapshot_request["id"] = io::Json(std::uint64_t{0});
   snapshot_request["session"] = io::Json(owner_session);
-  io::Json snapshot_result;
-  if (!call_ok(exchange, owner, io::Json(std::move(snapshot_request)).dump(),
-               snapshot_result, error)) {
-    ++counters_.ship_failures;
-    return false;
-  }
-  io::Json* snapshot_doc = snapshot_result.find("snapshot");
-  if (snapshot_doc == nullptr) {
+  std::string snapshot_response;
+  std::string_view snapshot;
+  if (!exchange_ok(exchange, owner,
+                   io::Json(std::move(snapshot_request)).dump(),
+                   snapshot_response, error) ||
+      !cut_snapshot(owner, snapshot_response, snapshot, error)) {
     ++counters_.ship_failures;
     return false;
   }
@@ -116,16 +158,24 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
   for (JournalEntry& entry : state.journal) {
     if (entry.ship_seq == 0) entry.ship_seq = seq;
   }
-  io::JsonObject replicate_request;
-  replicate_request["cmd"] = io::Json(svc::cmd::kReplicateSession);
-  replicate_request["id"] = io::Json(std::uint64_t{0});
-  replicate_request["origin"] = io::Json(origin);
-  replicate_request["seq"] = io::Json(seq);
-  replicate_request["snapshot"] = std::move(*snapshot_doc);
+  // The owner's snapshot bytes go on as they came. The codec dumps keys in
+  // sorted order and "snapshot" sorts after every header key, so splicing
+  // it in last yields exactly the bytes dumping the whole request would.
+  io::JsonObject replicate_header;
+  replicate_header["cmd"] = io::Json(svc::cmd::kReplicateSession);
+  replicate_header["id"] = io::Json(std::uint64_t{0});
+  replicate_header["origin"] = io::Json(origin);
+  replicate_header["seq"] = io::Json(seq);
+  constexpr std::string_view kSnapshotMember = R"(,"snapshot":)";
+  std::string replicate_request = io::Json(std::move(replicate_header)).dump();
+  replicate_request.pop_back();  // the header's closing '}'
+  replicate_request.reserve(replicate_request.size() + kSnapshotMember.size() +
+                            snapshot.size() + 1);
+  replicate_request += kSnapshotMember;
+  replicate_request += snapshot;
+  replicate_request += '}';
   io::Json replicate_result;
-  if (!call_ok(exchange, peer,
-               io::Json(std::move(replicate_request)).dump(),
-               replicate_result, error)) {
+  if (!call_ok(exchange, peer, replicate_request, replicate_result, error)) {
     ++counters_.ship_failures;
     return false;
   }

@@ -20,6 +20,17 @@
 /// peer shard (replicate_session). Between ships, acked mutating request
 /// payloads accumulate in a per-session journal.
 ///
+/// **Forwarded, not re-encoded.** The router never builds the snapshot
+/// document. It cuts the value out of the owner's canonical
+/// `{"id":0,"ok":true,"result":{"snapshot":…}}` response, checks that the
+/// cut is exactly one well-formed JSON value with io::Json::validate (the
+/// parser's grammar and depth limit, nothing materialised), and splices
+/// those bytes verbatim after a dumped {"cmd","id","origin","seq"} header.
+/// "snapshot" sorts after every header key, so the request equals what
+/// parsing and re-dumping the response would give, byte for byte. Any
+/// other response shape is a failed ship. The peer decodes and verifies
+/// the snapshot once.
+///
 /// **Exactly-once failover.** The replica + journal describe *acked*
 /// state only: a command torn by a connection loss was never journaled,
 /// so restore() — adopt the replica at the peer, replay the journal in

@@ -422,13 +422,14 @@ std::string Router::forward_locked(SessionEntry& entry, std::uint64_t id,
     // in place: no insertion, so `command`, which points into the
     // request, stays valid.
     (*request.as_object())["session"] = io::Json(entry.backend_session);
-    const std::string payload = request.dump();
+    std::string payload = request.dump();
     std::string response;
     const svc::TransportStatus status =
         exchange_with(*backend, payload, response);
     if (status == svc::TransportStatus::kOk) {
       if (is_mutating(command) && response_is_ok(response) &&
-          replicator_.record_mutation(entry.repl, payload, obs::now_ns())) {
+          replicator_.record_mutation(entry.repl, std::move(payload),
+                                      obs::now_ns())) {
         const std::string peer = pick_peer_for(entry.id, entry.owner);
         if (!peer.empty()) {
           // A failed ship keeps the journal; the next acked mutation

@@ -1,6 +1,7 @@
 #include "rim/sim/trace.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "rim/core/audit.hpp"
@@ -66,7 +67,7 @@ bool mutation_from_json(const io::Json& json, core::Mutation& out,
     error = "mutation: unknown kind '" + *kind->as_string() + "'";
     return false;
   }
-  const std::string& bits = *pos->as_string();
+  const std::string_view bits = *pos->as_string();
   if (bits.size() != 32 ||
       !core::double_from_hex_bits(bits.substr(0, 16), out.position.x) ||
       !core::double_from_hex_bits(bits.substr(16, 16), out.position.y)) {

@@ -33,6 +33,9 @@
 /// Snapshots are validated (magic, version, checksum) by the
 /// replicate_session handler *before* they land here, so everything in the
 /// store is restorable modulo engine-option mismatches surfaced at adopt.
+/// That decode computes the payload checksum once; the handler hands the
+/// verified value to put() and echoes it in its response, so a ship
+/// hashes the payload once on the peer, never under store_mutex_.
 
 namespace rim::svc {
 
@@ -61,13 +64,15 @@ class ReplicaStore {
   ReplicaStore& operator=(const ReplicaStore&) = delete;
 
   /// Store \p snapshot as the replica of \p origin at ship sequence
-  /// \p seq. Idempotent: a duplicate of the stored replica (same seq and
-  /// checksum) is success. False (with \p error) when seq is otherwise
-  /// not newer than the stored one, or the store is at capacity with
-  /// \p origin absent.
+  /// \p seq. \p checksum is the snapshot's payload_checksum() as the
+  /// caller's decode verified it; the store trusts it rather than hashing
+  /// ~100 KB again under its mutex. Idempotent: a duplicate of the stored
+  /// replica (same seq and checksum) is success. False (with \p error)
+  /// when seq is otherwise not newer than the stored one, or the store is
+  /// at capacity with \p origin absent.
   [[nodiscard]] bool put(std::uint64_t origin, std::uint64_t seq,
-                         core::Snapshot snapshot, std::string& error)
-      RIM_EXCLUDES(store_mutex_);
+                         std::uint64_t checksum, core::Snapshot snapshot,
+                         std::string& error) RIM_EXCLUDES(store_mutex_);
 
   /// Remove and return the replica of \p origin (the adopt path: a
   /// promoted replica must not be adoptable twice). False when absent.

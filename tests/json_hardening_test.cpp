@@ -33,10 +33,16 @@
 namespace rim::io {
 namespace {
 
+/// parse()'s verdict on \p text. Every case also checks that validate(),
+/// the parser's non-materialising mode, agrees: same verdict, same message.
 bool parses(const std::string& text, std::string* error_out = nullptr) {
   Json out;
   std::string error;
   const bool ok = Json::parse(text, out, error);
+  std::string validate_error;
+  EXPECT_EQ(Json::validate(text, validate_error), ok)
+      << "validate() disagrees on: " << text.substr(0, 80);
+  EXPECT_EQ(validate_error, error);
   if (error_out != nullptr) *error_out = error;
   return ok;
 }
@@ -54,6 +60,25 @@ TEST(JsonHardening, DepthLimitIsDocumentedAndEnforced) {
   std::string error;
   EXPECT_FALSE(parses(nested(Json::kMaxParseDepth + 1, '[', ']'), &error));
   EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+}
+
+TEST(JsonHardening, ValidateCountsDepthFromTheEnclosingDocument) {
+  // A value cut out of a document at nesting level d keeps the budget it
+  // had there: validate(text, error, d) accepts it iff the whole document
+  // parses. nested(k) inside one more array is nested(k + 1).
+  std::string error;
+  for (const std::size_t k : {Json::kMaxParseDepth - 1, Json::kMaxParseDepth}) {
+    EXPECT_TRUE(Json::validate(nested(k, '[', ']'), error)) << error;
+    EXPECT_EQ(Json::validate(nested(k, '[', ']'), error, 1),
+              parses(nested(k + 1, '[', ']')))
+        << k;
+  }
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  // A full snapshot document validates without being built.
+  core::Scenario scenario;
+  (void)scenario.add_node({0.0, 0.0});
+  (void)scenario.add_node({0.5, 0.0});
+  EXPECT_TRUE(parses(scenario.snapshot().to_json().dump(), &error)) << error;
 }
 
 TEST(JsonHardening, DeepHostileNestingIsRejectedNotFatal) {

@@ -1,0 +1,249 @@
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "rim/core/scenario.hpp"
+#include "rim/core/snapshot.hpp"
+#include "rim/graph/udg.hpp"
+#include "rim/io/json.hpp"
+#include "rim/shard/replicator.hpp"
+#include "rim/shard/router.hpp"
+#include "rim/sim/generators.hpp"
+#include "rim/svc/protocol.hpp"
+#include "rim/svc/service.hpp"
+#include "rim/svc/tcp.hpp"
+#include "rim/topology/mst_topology.hpp"
+
+/// Tests for the replica ship: the router forwards the owner's snapshot
+/// bytes verbatim (byte-identical to parsing and re-dumping them), refuses
+/// every other owner response shape without sending a replicate, and over
+/// real sockets ships once per acked write.
+
+namespace {
+
+using namespace rim;
+
+constexpr std::uint64_t kOrigin = 7;
+constexpr std::uint64_t kOwnerSession = 3;
+
+/// A backend Service with a one-thread batch pool.
+svc::ServiceConfig one_thread_service() {
+  svc::ServiceConfig config;
+  config.batch_pool_threads = 1;
+  return config;
+}
+
+/// A 2000-node session at the density of the serving benchmark.
+core::Snapshot large_snapshot() {
+  const geom::PointSet points =
+      sim::uniform_square(2000, std::sqrt(2000.0 / 12.5), 42);
+  const graph::Graph udg = graph::build_udg(points, 1.0);
+  core::Scenario scenario(points, topology::mst_topology(points, udg));
+  (void)scenario.interference();
+  return scenario.snapshot();
+}
+
+/// What the owner's Service answers to the replicator's snapshot request.
+std::string owner_response(const core::Snapshot& snapshot) {
+  io::JsonObject result;
+  result["snapshot"] = snapshot.to_json();
+  return svc::make_ok(0, io::Json(std::move(result)));
+}
+
+/// The replicate_session request the parse -> re-dump path built from
+/// \p response: the reference the forwarded bytes must equal.
+std::string redumped_request(const std::string& response, std::uint64_t seq) {
+  io::Json document;
+  std::string error;
+  EXPECT_TRUE(io::Json::parse(response, document, error)) << error;
+  io::JsonObject request;
+  request["cmd"] = io::Json(svc::cmd::kReplicateSession);
+  request["id"] = io::Json(std::uint64_t{0});
+  request["origin"] = io::Json(kOrigin);
+  request["seq"] = io::Json(seq);
+  request["snapshot"] = std::move(*document.find("result")->find("snapshot"));
+  return io::Json(std::move(request)).dump();
+}
+
+/// A fake Exchange: "owner" answers every request with a canned response,
+/// "peer" is a real Service. Every payload sent is recorded.
+struct FakeBackends {
+  std::string owner_answer;
+  svc::Service peer{one_thread_service()};
+  std::vector<std::pair<std::string, std::string>> sent;
+
+  [[nodiscard]] shard::Exchange exchange() {
+    return [this](const std::string& backend, const std::string& payload,
+                  std::string& response) {
+      sent.emplace_back(backend, payload);
+      response = backend == "owner" ? owner_answer : peer.handle(payload);
+      return svc::TransportStatus::kOk;
+    };
+  }
+
+  bool ship(shard::Replicator& replicator, shard::ReplicaState& state) {
+    return replicator.ship(kOrigin, "owner", kOwnerSession, "peer",
+                           exchange(), state, 1);
+  }
+};
+
+void expect_forwarded_verbatim(const core::Snapshot& snapshot) {
+  FakeBackends backends;
+  backends.owner_answer = owner_response(snapshot);
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  ASSERT_TRUE(backends.ship(replicator, state));
+  ASSERT_EQ(backends.sent.size(), 2u);
+  EXPECT_EQ(backends.sent[0].first, "owner");
+  EXPECT_EQ(backends.sent[0].second,
+            R"({"cmd":"snapshot","id":0,"session":3})");
+  EXPECT_EQ(backends.sent[1].first, "peer");
+  EXPECT_EQ(backends.sent[1].second,
+            redumped_request(backends.owner_answer, 1));
+  EXPECT_EQ(replicator.counters().shipped.value(), 1u);
+  EXPECT_EQ(replicator.counters().ship_failures.value(), 0u);
+  EXPECT_EQ(state.shipped_seq, 1u);
+
+  // The peer verified and stored exactly the owner's state.
+  svc::ReplicaStore::Replica replica;
+  ASSERT_TRUE(backends.peer.replicas().take(kOrigin, replica));
+  EXPECT_EQ(replica.seq, 1u);
+  EXPECT_EQ(replica.checksum, snapshot.payload_checksum());
+  EXPECT_EQ(replica.snapshot.to_bytes(), snapshot.to_bytes());
+}
+
+TEST(ShardReplicator, ForwardsLargeSnapshotBytesVerbatim) {
+  const core::Snapshot snapshot = large_snapshot();
+  ASSERT_EQ(snapshot.node_count(), 2000u);
+  expect_forwarded_verbatim(snapshot);
+}
+
+TEST(ShardReplicator, ForwardsEmptySessionSnapshotVerbatim) {
+  core::Scenario empty;
+  expect_forwarded_verbatim(empty.snapshot());
+}
+
+TEST(ShardReplicator, RefusesEveryOtherOwnerResponseShape) {
+  const std::string canonical = owner_response(large_snapshot());
+  const std::string head = R"({"id":0,"ok":true,"result":{"snapshot":)";
+  ASSERT_EQ(canonical.rfind(head, 0), 0u);
+  const std::string value =
+      canonical.substr(head.size(), canonical.size() - head.size() - 2);
+  const std::string bomb = std::string(200, '[') + std::string(200, ']');
+  const std::vector<std::pair<std::string, std::string>> responses = {
+      {"error envelope",
+       svc::make_error(0, svc::code::kNoSession, "no session 3")},
+      {"trailing bytes after the value", head + value + "]}}"},
+      {"trailing bytes after the envelope", canonical + "}}"},
+      {"injected seq member", head + value + R"(,"seq":99}})"},
+      {"truncated document", canonical.substr(0, canonical.size() / 2)},
+      {"nesting-depth bomb", head + bomb + "}}"},
+  };
+  for (const auto& [name, response] : responses) {
+    SCOPED_TRACE(name);
+    FakeBackends backends;
+    backends.owner_answer = response;
+    shard::Replicator replicator(shard::ReplicationPolicy{});
+    shard::ReplicaState state;
+    (void)replicator.record_mutation(state, "first", 1);
+    (void)replicator.record_mutation(state, "second", 1);
+    EXPECT_FALSE(backends.ship(replicator, state));
+    EXPECT_EQ(replicator.counters().ship_failures.value(), 1u);
+    EXPECT_EQ(replicator.counters().shipped.value(), 0u);
+    // Only the snapshot request went out: no replicate exchange.
+    ASSERT_EQ(backends.sent.size(), 1u);
+    EXPECT_EQ(backends.sent[0].first, "owner");
+    EXPECT_EQ(backends.peer.replicas().size(), 0u);
+    // The journal is kept whole and untagged, so failover replays it all.
+    ASSERT_EQ(state.journal.size(), 2u);
+    for (const shard::JournalEntry& entry : state.journal) {
+      EXPECT_EQ(entry.ship_seq, 0u);
+    }
+    EXPECT_EQ(state.ship_attempt_seq, 0u);
+    EXPECT_FALSE(state.has_replica);
+  }
+}
+
+TEST(ShardReplicator, DepthLimitMatchesParsingTheWholeResponse) {
+  // The cut-out value keeps the nesting budget it had inside the
+  // envelope: exactly the responses parse() accepts are forwarded.
+  const std::string head = R"({"id":0,"ok":true,"result":{"snapshot":)";
+  for (const std::size_t levels : {62u, 63u, 64u, 65u}) {
+    SCOPED_TRACE(levels);
+    const std::string response = head + std::string(levels, '[') +
+                                 std::string(levels, ']') + "}}";
+    io::Json document;
+    std::string error;
+    const bool parses = io::Json::parse(response, document, error);
+    EXPECT_EQ(parses, levels <= 63);
+    FakeBackends backends;
+    backends.owner_answer = response;
+    shard::Replicator replicator(shard::ReplicationPolicy{});
+    shard::ReplicaState state;
+    (void)backends.ship(replicator, state);
+    // A forwarded non-snapshot is refused by the peer, but it was sent.
+    ASSERT_EQ(backends.sent.size(), parses ? 2u : 1u);
+    if (parses) {
+      EXPECT_EQ(backends.sent[1].second, redumped_request(response, 1));
+    }
+  }
+}
+
+TEST(ShardReplicator, EveryAckedWriteShipsOverTcp) {
+  // Failover still succeeds from journal replay when every ship fails, so
+  // only the counters show a broken ship path: over real sockets, each
+  // acked write must ship once and none may fail.
+  std::vector<std::unique_ptr<svc::Service>> services;
+  std::vector<std::unique_ptr<svc::TcpServer>> servers;
+  shard::RouterConfig config;
+  for (int i = 0; i < 2; ++i) {
+    services.push_back(std::make_unique<svc::Service>(one_thread_service()));
+    servers.push_back(std::make_unique<svc::TcpServer>(
+        *services.back(),
+        svc::TcpServerConfig{.port = 0, .dispatch_threads = 2}));
+    std::string error;
+    ASSERT_TRUE(servers.back()->start(error)) << error;
+    const std::uint16_t port = servers.back()->port();
+    const auto connect = [port]() -> std::unique_ptr<svc::Transport> {
+      auto transport = std::make_unique<svc::TcpClientTransport>();
+      std::string connect_error;
+      if (!transport->connect_to("127.0.0.1", port, connect_error)) {
+        return nullptr;
+      }
+      return transport;
+    };
+    config.backends.push_back({"tcp-" + std::to_string(i), connect, connect});
+  }
+  auto router = std::make_unique<shard::Router>(std::move(config));
+  ASSERT_NE(router->handle(R"({"cmd":"create_session","id":1})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  constexpr std::uint64_t kWrites = 12;
+  std::uint64_t acked = 0;
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    io::JsonObject request;
+    request["cmd"] = io::Json(svc::cmd::kAddNode);
+    request["id"] = io::Json(i + 2);
+    request["session"] = io::Json(1);
+    request["x"] = io::Json(0.3 * static_cast<double>(i));
+    request["y"] = io::Json(0.1 * static_cast<double>(i % 3));
+    const std::string response =
+        router->handle(io::Json(std::move(request)).dump());
+    if (response.find("\"ok\":true") != std::string::npos) ++acked;
+  }
+  EXPECT_EQ(acked, kWrites);
+  const shard::ReplicatorCounters& counters = router->replicator().counters();
+  EXPECT_EQ(counters.shipped.value(), kWrites);
+  EXPECT_EQ(counters.ship_failures.value(), 0u);
+  EXPECT_EQ(services[0]->replicas().size() + services[1]->replicas().size(),
+            1u);
+  router.reset();
+  for (auto& server : servers) server->stop();
+}
+
+}  // namespace
