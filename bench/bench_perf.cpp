@@ -321,6 +321,8 @@ void BM_ReplicaShip(benchmark::State& state) {
   shard::Replicator replicator(shard::ReplicationPolicy{});
   shard::ReplicaState replica;
   for (auto _ : state) {
+    // A peer without the replica takes the full shape, as a first ship.
+    replica.has_replica = false;
     if (!replicator.ship(1, "owner", 1, "peer", exchange, replica, 0)) {
       state.SkipWithError("ship");
       break;
@@ -328,5 +330,45 @@ void BM_ReplicaShip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplicaShip)->Unit(benchmark::kMillisecond);
+
+void BM_ReplicaAppend(benchmark::State& state) {
+  // One acked single-mutation write reaching the peer of a 2000-node
+  // session as an append: the router's splice, the peer's parse, checks
+  // and store. One full ship first sets the replica up; the fixed
+  // iteration count keeps the tail below that snapshot's bytes, so every
+  // timed ship is an append (checked after the loop).
+  svc::ServiceConfig config;
+  config.batch_pool_threads = 1;
+  svc::Service peer(config);
+  io::JsonObject snapshot_result;
+  snapshot_result["snapshot"] = session_snapshot().to_json();
+  const std::string owner_answer =
+      svc::make_ok(0, io::Json(std::move(snapshot_result)));
+  const shard::Exchange exchange =
+      [&](const std::string& backend, const std::string& payload,
+          std::string& response) {
+        response = backend == "owner" ? owner_answer : peer.handle(payload);
+        return svc::TransportStatus::kOk;
+      };
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState replica;
+  if (!replicator.ship(1, "owner", 1, "peer", exchange, replica, 0)) {
+    state.SkipWithError("full ship");
+    return;
+  }
+  const std::string write =
+      R"({"cmd":"move","id":7,"session":1,"v":5,"x":3.25,"y":4.5})";
+  for (auto _ : state) {
+    (void)replicator.record_mutation(replica, write, 0);
+    if (!replicator.ship(1, "owner", 1, "peer", exchange, replica, 0)) {
+      state.SkipWithError("append");
+      break;
+    }
+  }
+  if (replicator.counters().full_ships.value() != 1) {
+    state.SkipWithError("a timed ship was not an append");
+  }
+}
+BENCHMARK(BM_ReplicaAppend)->Iterations(1000)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -441,8 +441,17 @@ int cmd_shard_status(const Args& args) {
               << " lost=" << count(result, "lost_sessions")
               << " failovers=" << count(result, "failovers")
               << " shipped=" << count(replication, "shipped")
+              << " full_ships=" << count(replication, "full_ships")
               << " ship_failures=" << count(replication, "ship_failures")
               << '\n';
+    const io::Json* last_error =
+        replication != nullptr ? replication->find("last_ship_error") : nullptr;
+    const std::string* last_error_text =
+        last_error != nullptr ? last_error->as_string() : nullptr;
+    if (last_error_text != nullptr && !last_error_text->empty()) {
+      std::cout << "shard-status: last_ship_error=" << *last_error_text
+                << '\n';
+    }
   }
   return 0;
 }
@@ -477,21 +486,32 @@ int cmd_client(const Args& args) {
       return 1;
     }
     const std::uint64_t session = opened.value();
-    const std::vector<core::Mutation> batch = {
-        core::Mutation::add_node({0.0, 0.0}),
-        core::Mutation::add_node({1.0, 0.0}),
-        core::Mutation::add_node({0.5, 0.8}),
-        core::Mutation::add_node({2.25, 0.5}),
-        core::Mutation::add_edge(0, 1),
-        core::Mutation::add_edge(1, 2),
-        core::Mutation::add_edge(0, 2),
-        core::Mutation::add_edge(1, 3),
+    // Two writes, nodes then edges: behind a router the second one
+    // reaches the replica as an append to the first one's snapshot.
+    const std::vector<std::vector<core::Mutation>> batches = {
+        {
+            core::Mutation::add_node({0.0, 0.0}),
+            core::Mutation::add_node({1.0, 0.0}),
+            core::Mutation::add_node({0.5, 0.8}),
+            core::Mutation::add_node({2.25, 0.5}),
+        },
+        {
+            core::Mutation::add_edge(0, 1),
+            core::Mutation::add_edge(1, 2),
+            core::Mutation::add_edge(0, 2),
+            core::Mutation::add_edge(1, 3),
+        },
     };
-    const svc::SvcResult<core::BatchResult> applied =
-        client.try_apply_batch(session, batch);
-    if (!applied.has_value()) {
-      std::cerr << "client: apply_batch: " << applied.error().message << '\n';
-      return 1;
+    std::size_t applied = 0;
+    for (const std::vector<core::Mutation>& batch : batches) {
+      const svc::SvcResult<core::BatchResult> result =
+          client.try_apply_batch(session, batch);
+      if (!result.has_value()) {
+        std::cerr << "client: apply_batch: " << result.error().message
+                  << '\n';
+        return 1;
+      }
+      applied += result.value().applied;
     }
     const svc::SvcResult<io::Json> interference =
         client.try_query_interference(session);
@@ -501,7 +521,7 @@ int cmd_client(const Args& args) {
       return 1;
     }
     std::cout << "client: session " << session << " applied "
-              << applied.value().applied << " mutations; interference ";
+              << applied << " mutations; interference ";
     interference.value().write(std::cout);
     std::cout << '\n';
     if (args.flag("keep")) {

@@ -84,6 +84,43 @@ bool cut_snapshot(const std::string& owner, const std::string& response,
   return false;
 }
 
+/// Total payload bytes of \p journal.
+std::size_t journal_bytes(const std::vector<JournalEntry>& journal) {
+  std::size_t bytes = 0;
+  for (const JournalEntry& entry : journal) bytes += entry.payload.size();
+  return bytes;
+}
+
+/// replicate_session{base, journal, origin, seq}. The journaled payloads
+/// are the codec's own dumps (Router::forward_locked), so splicing them
+/// into the dumped request's empty "journal" array yields exactly the
+/// bytes dumping the whole request would.
+std::string append_request(std::uint64_t origin, std::uint64_t base,
+                           std::uint64_t seq,
+                           const std::vector<JournalEntry>& journal) {
+  io::JsonObject header;
+  header["base"] = io::Json(base);
+  header["cmd"] = io::Json(svc::cmd::kReplicateSession);
+  header["id"] = io::Json(std::uint64_t{0});
+  header["journal"] = io::Json(io::JsonArray{});
+  header["origin"] = io::Json(origin);
+  header["seq"] = io::Json(seq);
+  const std::string text = io::Json(std::move(header)).dump();
+  // Every other member is a number or the command name, so this is the
+  // one empty array; split just after its '['.
+  constexpr std::string_view kEmptyJournal = R"("journal":[])";
+  const std::size_t split = text.find(kEmptyJournal) + kEmptyJournal.size() - 1;
+  std::string request;
+  request.reserve(text.size() + journal_bytes(journal) + journal.size());
+  request.append(text, 0, split);
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    if (i != 0) request += ',';
+    request += journal[i].payload;
+  }
+  request.append(text, split);
+  return request;
+}
+
 /// Rewrite the "session" field of a journaled request payload to the
 /// replayed session id. False when the payload no longer parses (it was
 /// acked by a backend, so this indicates memory corruption, not input).
@@ -102,6 +139,7 @@ io::Json ReplicatorCounters::to_json() const {
   io::JsonObject object;
   object["adoption_failures"] = adoption_failures.to_json();
   object["adoptions"] = adoptions.to_json();
+  object["full_ships"] = full_ships.to_json();
   object["journal_truncated"] = journal_truncated.to_json();
   object["lag_ns"] = lag_ns.to_json();
   object["replays"] = replays.to_json();
@@ -128,11 +166,81 @@ bool Replicator::record_mutation(ReplicaState& state, std::string payload,
   return state.muts_since_ship >= policy_.ship_every;
 }
 
+std::string Replicator::last_ship_error() const {
+  common::MutexLock lock(error_mutex_);
+  return last_ship_error_;
+}
+
+void Replicator::keep_error(std::uint64_t origin, const std::string& error) {
+  common::MutexLock lock(error_mutex_);
+  last_ship_error_ = "origin " + std::to_string(origin) + ": " + error;
+}
+
+bool Replicator::ship_failed(std::uint64_t origin, const std::string& error) {
+  ++counters_.ship_failures;
+  keep_error(origin, error);
+  return false;
+}
+
+void Replicator::shipped(ReplicaState& state, const std::string& peer,
+                         std::uint64_t seq, std::uint64_t now_ns) {
+  state.shipped_seq = seq;
+  state.journal.clear();
+  state.muts_since_ship = 0;
+  state.peer = peer;
+  state.has_replica = true;
+  state.truncated = false;
+  if (state.oldest_unshipped_ns != 0 &&
+      now_ns >= state.oldest_unshipped_ns) {
+    counters_.lag_ns.record(now_ns - state.oldest_unshipped_ns);
+  }
+  state.oldest_unshipped_ns = 0;
+  ++counters_.shipped;
+}
+
 bool Replicator::ship(std::uint64_t origin, const std::string& owner,
                       std::uint64_t owner_session, const std::string& peer,
                       const Exchange& exchange, ReplicaState& state,
                       std::uint64_t now_ns) {
+  // A torn replicate may have stored an earlier attempt at the peer, so
+  // each attempt's seq must be above every attempt ever sent — resending
+  // a possibly-landed seq would be rejected as stale forever. The attempt
+  // carries every journaled mutation so far: tag untagged entries so a
+  // failover that adopts it (even via a torn-but-landed replicate) skips
+  // them.
+  const auto next_seq = [&state] {
+    const std::uint64_t seq =
+        std::max(state.shipped_seq, state.ship_attempt_seq) + 1;
+    state.ship_attempt_seq = seq;
+    for (JournalEntry& entry : state.journal) {
+      if (entry.ship_seq == 0) entry.ship_seq = seq;
+    }
+    return seq;
+  };
   std::string error;
+  std::string fallback;  // why an append was refused, if one was
+  const std::size_t appended = journal_bytes(state.journal);
+  if (state.has_replica && state.peer == peer && !state.truncated &&
+      state.tail_bytes + appended <= state.snapshot_bytes) {
+    const std::uint64_t seq = next_seq();
+    std::string response;
+    if (!exchange_ok(exchange, peer,
+                     append_request(origin, state.shipped_seq, seq,
+                                    state.journal),
+                     response, error)) {
+      return ship_failed(origin, "append: " + error);
+    }
+    io::Json result;
+    if (parse_ok(peer, response, result, error)) {
+      state.tail_bytes += appended;
+      shipped(state, peer, seq, now_ns);
+      return true;
+    }
+    // The peer answered but did not apply it (no replica, or a torn ship
+    // moved its seq past our base): the snapshot below starts a new log.
+    fallback = "append refused (" + error + "), fell back to a full ship";
+  }
+  const std::string failed_prefix = fallback.empty() ? "" : fallback + ": ";
   io::JsonObject snapshot_request;
   snapshot_request["cmd"] = io::Json(svc::cmd::kSnapshot);
   snapshot_request["id"] = io::Json(std::uint64_t{0});
@@ -143,21 +251,9 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
                    io::Json(std::move(snapshot_request)).dump(),
                    snapshot_response, error) ||
       !cut_snapshot(owner, snapshot_response, snapshot, error)) {
-    ++counters_.ship_failures;
-    return false;
+    return ship_failed(origin, failed_prefix + "snapshot: " + error);
   }
-  // A torn replicate may have stored an earlier attempt at the peer, so
-  // this seq must be above every attempt ever sent — resending a
-  // possibly-landed seq would be rejected as stale forever.
-  const std::uint64_t seq =
-      std::max(state.shipped_seq, state.ship_attempt_seq) + 1;
-  state.ship_attempt_seq = seq;
-  // The snapshot is full owner state: every journaled mutation so far is
-  // covered by it. Tag untagged entries so a failover that adopts this
-  // snapshot (even via a torn-but-landed replicate) skips them.
-  for (JournalEntry& entry : state.journal) {
-    if (entry.ship_seq == 0) entry.ship_seq = seq;
-  }
+  const std::uint64_t seq = next_seq();
   // The owner's snapshot bytes go on as they came. The codec dumps keys in
   // sorted order and "snapshot" sorts after every header key, so splicing
   // it in last yields exactly the bytes dumping the whole request would.
@@ -176,21 +272,13 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
   replicate_request += '}';
   io::Json replicate_result;
   if (!call_ok(exchange, peer, replicate_request, replicate_result, error)) {
-    ++counters_.ship_failures;
-    return false;
+    return ship_failed(origin, failed_prefix + "replicate: " + error);
   }
-  state.shipped_seq = seq;
-  state.journal.clear();
-  state.muts_since_ship = 0;
-  state.peer = peer;
-  state.has_replica = true;
-  state.truncated = false;
-  if (state.oldest_unshipped_ns != 0 &&
-      now_ns >= state.oldest_unshipped_ns) {
-    counters_.lag_ns.record(now_ns - state.oldest_unshipped_ns);
-  }
-  state.oldest_unshipped_ns = 0;
-  ++counters_.shipped;
+  state.snapshot_bytes = snapshot.size();
+  state.tail_bytes = 0;
+  ++counters_.full_ships;
+  shipped(state, peer, seq, now_ns);
+  if (!fallback.empty()) keep_error(origin, fallback);
   return true;
 }
 

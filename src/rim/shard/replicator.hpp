@@ -5,47 +5,64 @@
 #include <string>
 #include <vector>
 
+#include "rim/common/mutex.hpp"
+#include "rim/common/thread_annotations.hpp"
 #include "rim/io/json.hpp"
 #include "rim/obs/metrics.hpp"
 #include "rim/svc/transport.hpp"
 
 /// \file replicator.hpp
-/// Spill-to-peer session replication for the shard router (DESIGN.md §14).
+/// Snapshot + log session replication for the shard router (DESIGN.md
+/// §14.2).
 ///
 /// The PR 5 SessionManager spills LRU sessions to disk as versioned,
 /// checksummed core::Snapshots and restores them bit-identically. The
-/// Replicator promotes that path to *spill-to-peer*: after every
-/// `ship_every` acked mutating commands on a session, the router fetches
-/// the owner backend's snapshot and streams it to the session's designated
-/// peer shard (replicate_session). Between ships, acked mutating request
-/// payloads accumulate in a per-session journal.
+/// Replicator promotes that path to *spill-to-peer*: the session's
+/// designated peer shard holds the last full snapshot plus the acked
+/// mutating requests since, and after every `ship_every` acked mutating
+/// commands the router brings the peer up to date (replicate_session).
+/// Between ships, acked mutating request payloads accumulate in a
+/// per-session journal.
 ///
-/// **Forwarded, not re-encoded.** The router never builds the snapshot
-/// document. It cuts the value out of the owner's canonical
-/// `{"id":0,"ok":true,"result":{"snapshot":…}}` response, checks that the
-/// cut is exactly one well-formed JSON value with io::Json::validate (the
-/// parser's grammar and depth limit, nothing materialised), and splices
-/// those bytes verbatim after a dumped {"cmd","id","origin","seq"} header.
-/// "snapshot" sorts after every header key, so the request equals what
-/// parsing and re-dumping the response would give, byte for byte. Any
-/// other response shape is a failed ship. The peer decodes and verifies
-/// the snapshot once.
+/// **Two request shapes, one rule.** A ship *appends* the journal to the
+/// peer's replica — replicate_session{base, journal, origin, seq}, with no
+/// owner exchange — when that peer holds the replica at `shipped_seq`, the
+/// journal is whole, and the bytes appended since the last full ship plus
+/// this journal do not exceed that snapshot's bytes. Otherwise (first
+/// ship, a new peer, a truncated journal, a tail that would outgrow the
+/// snapshot) it ships a *full* snapshot, which becomes the log's new base.
+/// A peer that refuses an append (no replica, or a seq other than `base`)
+/// gets a full ship in the same call. The tail never costs more than one
+/// snapshot to store or replay.
+///
+/// **Forwarded, not re-encoded.** The router never builds a document it
+/// ships. An append splices the journaled payloads (the codec's own
+/// dumps) into a dumped header. A full ship cuts the snapshot value out of
+/// the owner's canonical `{"id":0,"ok":true,"result":{"snapshot":…}}`
+/// response, checks that the cut is exactly one well-formed JSON value
+/// with io::Json::validate (the parser's grammar and depth limit, nothing
+/// materialised), and splices those bytes after a dumped
+/// {"cmd","id","origin","seq"} header. Either way the request equals what
+/// parsing and re-dumping it would give, byte for byte. Any other owner
+/// response shape is a failed ship. The peer decodes and verifies once.
 ///
 /// **Exactly-once failover.** The replica + journal describe *acked*
 /// state only: a command torn by a connection loss was never journaled,
-/// so restore() — adopt the replica at the peer, replay the journal in
-/// order — reconstructs precisely the state every acked command produced,
-/// after which the router re-forwards the torn command once. No command
-/// is applied twice and none is lost, which is what makes the E24
-/// kill-a-shard run checksum-identical to its unkilled twin.
+/// so restore() — adopt the replica at the peer (which replays its own
+/// tail), replay the journal in order — reconstructs precisely the state
+/// every acked command produced, after which the router re-forwards the
+/// torn command once. No command is applied twice and none is lost, which
+/// is what makes the E24 kill-a-shard run checksum-identical to its
+/// unkilled twin.
 ///
-/// A *replicate* exchange can tear too: the peer stores the snapshot but
-/// the response is lost. Two mechanisms keep that exactly-once: every
-/// ship attempt uses a fresh sequence number strictly above any attempt
-/// ever sent (a possibly-landed torn ship is never resent as "stale"),
-/// and every journal entry is tagged with the first ship seq whose
-/// snapshot covered its effects — restore() drops entries the adopted
-/// replica's seq already covers instead of replaying them twice.
+/// A *replicate* exchange can tear too: the peer stores the ship but the
+/// response is lost. Two mechanisms keep that exactly-once: every ship
+/// attempt uses a fresh sequence number strictly above any attempt ever
+/// sent (a possibly-landed torn ship is never resent as "stale", and a
+/// later append's `base` no longer matches, forcing a full ship), and
+/// every journal entry is tagged with the first ship seq that carried its
+/// effects — restore() drops entries the adopted replica's seq already
+/// covers instead of replaying them twice.
 ///
 /// The Replicator is transport-agnostic: every backend exchange goes
 /// through an injected Exchange callable (the router wires it to its
@@ -63,8 +80,8 @@ using Exchange = std::function<svc::TransportStatus(
     std::string& response_payload)>;
 
 struct ReplicationPolicy {
-  /// Ship a snapshot to the peer after this many acked mutating commands
-  /// (1 = after every mutating command batch; the replication cadence).
+  /// Ship to the peer after this many acked mutating commands (1 = after
+  /// every mutating command batch; the replication cadence).
   std::size_t ship_every = 1;
   /// Journal entries beyond this are a configuration error surfaced via
   /// ship-failure accounting (the journal only grows while ships fail).
@@ -74,8 +91,9 @@ struct ReplicationPolicy {
 /// Lock-free counters + replication lag histogram (registered under the
 /// router's "shard.router" registry source).
 struct ReplicatorCounters {
-  obs::Counter shipped;             ///< snapshots accepted by a peer
-  obs::Counter ship_failures;       ///< snapshot/replicate exchanges failed
+  obs::Counter shipped;             ///< ships a peer accepted (either shape)
+  obs::Counter full_ships;          ///< of which full snapshots
+  obs::Counter ship_failures;       ///< ships that ended without a replica
   obs::Counter journal_truncated;   ///< mutations dropped past max_journal
   obs::Counter replays;             ///< journal entries replayed on restore
   obs::Counter adoptions;           ///< replicas promoted on a peer
@@ -85,13 +103,14 @@ struct ReplicatorCounters {
   [[nodiscard]] io::Json to_json() const;
 };
 
-/// One acked mutating request awaiting snapshot coverage.
+/// One acked mutating request awaiting a ship.
 struct JournalEntry {
   std::string payload;  ///< acked mutating request (the replay script)
-  /// Seq of the first ship attempt whose snapshot included this entry's
-  /// effects (0 = never included). Snapshots are full owner state, so a
-  /// replica adopted at seq >= ship_seq already contains the mutation and
-  /// replaying it would double-apply.
+  /// Seq of the first ship attempt that carried this entry's effects, in
+  /// a snapshot or an append (0 = never carried). Every later attempt
+  /// carries them too (a full ship is full owner state, an append carries
+  /// the whole journal), so a replica adopted at seq >= ship_seq already
+  /// contains the mutation and replaying it would double-apply.
   std::uint64_t ship_seq = 0;
 };
 
@@ -110,6 +129,11 @@ struct ReplicaState {
   std::uint64_t oldest_unshipped_ns = 0;///< ack time of journal.front()
   std::string peer;                     ///< backend holding the replica
   bool has_replica = false;
+  /// Bytes of the snapshot the replica's log is based on (its last full
+  /// ship), and of the journal payloads appended to it since. An append
+  /// is chosen only while the second stays within the first.
+  std::size_t snapshot_bytes = 0;
+  std::size_t tail_bytes = 0;
   /// The journal shed acked entries past max_journal: any replay now
   /// reconstructs partial state, so failover must report the session
   /// lost instead. Cleared by the next successful ship (the snapshot is
@@ -129,10 +153,13 @@ class Replicator {
   bool record_mutation(ReplicaState& state, std::string payload,
                        std::uint64_t now_ns);
 
-  /// Fetch \p origin's snapshot from \p owner (backend session
-  /// \p owner_session) and ship it to \p peer at the next ship sequence.
-  /// On success the journal resets and the replication lag is recorded.
-  /// On failure the journal is kept — the next mutation retries.
+  /// Bring \p peer's replica of \p origin up to date at the next ship
+  /// sequence: append the journal when the rule above allows it, else (or
+  /// when the peer refuses the append) fetch the snapshot from \p owner
+  /// (backend session \p owner_session) and ship it in full. On success
+  /// the journal resets and the replication lag is recorded. On failure
+  /// the journal is kept — the next mutation retries — and the reason is
+  /// kept in last_ship_error().
   bool ship(std::uint64_t origin, const std::string& owner,
             std::uint64_t owner_session, const std::string& peer,
             const Exchange& exchange, ReplicaState& state,
@@ -154,9 +181,26 @@ class Replicator {
   }
   [[nodiscard]] const ReplicationPolicy& policy() const { return policy_; }
 
+  /// "origin N: reason" for the most recent failed ship, or for the most
+  /// recent refused append that fell back to a full ship; empty when
+  /// nothing has gone wrong yet.
+  [[nodiscard]] std::string last_ship_error() const
+      RIM_EXCLUDES(error_mutex_);
+
  private:
+  /// Count a failed ship of \p origin and keep \p error.
+  bool ship_failed(std::uint64_t origin, const std::string& error)
+      RIM_EXCLUDES(error_mutex_);
+  void keep_error(std::uint64_t origin, const std::string& error)
+      RIM_EXCLUDES(error_mutex_);
+  /// Book a ship \p peer accepted at \p seq.
+  void shipped(ReplicaState& state, const std::string& peer,
+               std::uint64_t seq, std::uint64_t now_ns);
+
   const ReplicationPolicy policy_;
   ReplicatorCounters counters_;
+  mutable common::Mutex error_mutex_;
+  std::string last_ship_error_ RIM_GUARDED_BY(error_mutex_);
 };
 
 }  // namespace rim::shard

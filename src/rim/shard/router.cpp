@@ -10,21 +10,12 @@ namespace rim::shard {
 
 namespace {
 
-/// Commands whose acked application changes session state — exactly the
-/// set the Replicator must journal for the failover replay to reconstruct
-/// acked state (svc/service.cpp's mutation surface).
-bool is_mutating(const std::string& command) {
-  return command == svc::cmd::kAddNode || command == svc::cmd::kRemoveNode ||
-         command == svc::cmd::kAddEdge || command == svc::cmd::kRemoveEdge ||
-         command == svc::cmd::kMove || command == svc::cmd::kApplyBatch ||
-         command == svc::cmd::kRestore;
-}
-
 /// The session-scoped command set the backends accept — kept in lockstep
 /// with Service::dispatch_session_command so the router's unknown-command
 /// envelope is byte-identical to a direct service's.
 bool is_session_command(const std::string& command) {
-  return is_mutating(command) || command == svc::cmd::kAssess ||
+  return svc::is_mutating_command(command) ||
+         command == svc::cmd::kAssess ||
          command == svc::cmd::kQueryInterference ||
          command == svc::cmd::kSnapshot ||
          command == svc::cmd::kSessionStats;
@@ -427,7 +418,9 @@ std::string Router::forward_locked(SessionEntry& entry, std::uint64_t id,
     const svc::TransportStatus status =
         exchange_with(*backend, payload, response);
     if (status == svc::TransportStatus::kOk) {
-      if (is_mutating(command) && response_is_ok(response) &&
+      // Mutating commands are the set the Replicator must journal for the
+      // failover replay to reconstruct acked state.
+      if (svc::is_mutating_command(command) && response_is_ok(response) &&
           replicator_.record_mutation(entry.repl, std::move(payload),
                                       obs::now_ns())) {
         const std::string peer = pick_peer_for(entry.id, entry.owner);
@@ -542,7 +535,10 @@ std::string Router::shard_status(std::uint64_t id) {
   result["backends"] = io::Json(std::move(backends));
   result["failovers"] = counters_.failovers.to_json();
   result["lost_sessions"] = counters_.lost_sessions.to_json();
-  result["replication"] = replicator_.counters().to_json();
+  io::Json replication = replicator_.counters().to_json();
+  (*replication.as_object())["last_ship_error"] =
+      io::Json(replicator_.last_ship_error());
+  result["replication"] = std::move(replication);
   result["sessions"] = io::Json(session_count());
   result["sessions_moved"] = counters_.sessions_moved.to_json();
   return svc::make_ok(id, io::Json(std::move(result)));

@@ -20,6 +20,8 @@ const char* to_wire(SvcErrorCode code) {
       return code::kNoSession;
     case SvcErrorCode::kNoReplica:
       return code::kNoReplica;
+    case SvcErrorCode::kReplicaMismatch:
+      return code::kReplicaMismatch;
     case SvcErrorCode::kOverloaded:
       return code::kOverloaded;
     case SvcErrorCode::kRestoreFailed:
@@ -42,6 +44,7 @@ SvcErrorCode code_from_wire(std::string_view wire) {
   if (wire == code::kUnknownCommand) return SvcErrorCode::kUnknownCommand;
   if (wire == code::kNoSession) return SvcErrorCode::kNoSession;
   if (wire == code::kNoReplica) return SvcErrorCode::kNoReplica;
+  if (wire == code::kReplicaMismatch) return SvcErrorCode::kReplicaMismatch;
   if (wire == code::kOverloaded) return SvcErrorCode::kOverloaded;
   if (wire == code::kRestoreFailed) return SvcErrorCode::kRestoreFailed;
   if (wire == code::kFaultDisabled) return SvcErrorCode::kFaultDisabled;

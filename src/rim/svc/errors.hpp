@@ -29,6 +29,7 @@ enum class SvcErrorCode : std::uint8_t {
   kUnknownCommand,    ///< "unknown_command"
   kNoSession,         ///< "no_session"
   kNoReplica,         ///< "no_replica" (adopt_session found no replica)
+  kReplicaMismatch,   ///< "replica_mismatch" (append base != stored seq)
   kOverloaded,        ///< "overloaded" (admission control shed the request)
   kRestoreFailed,     ///< "restore_failed"
   kFaultDisabled,     ///< "fault_disabled"

@@ -92,6 +92,13 @@ io::Json mutation_to_json(const core::Mutation& mutation) {
   return io::Json(std::move(object));
 }
 
+bool is_mutating_command(std::string_view command) {
+  return command == cmd::kAddNode || command == cmd::kRemoveNode ||
+         command == cmd::kAddEdge || command == cmd::kRemoveEdge ||
+         command == cmd::kMove || command == cmd::kApplyBatch ||
+         command == cmd::kRestore;
+}
+
 namespace {
 
 bool node_id_field(const io::Json& json, const char* key, NodeId& out,

@@ -92,16 +92,21 @@ inline constexpr const char* kRestore = "restore";
 inline constexpr const char* kSessionStats = "session_stats";
 inline constexpr const char* kMetrics = "metrics";
 inline constexpr const char* kShutdown = "shutdown";
-// Shard replication (DESIGN.md §14): a router ships a session's snapshot
-// to a peer backend (replicate_session), and on failover asks the peer to
-// promote its replica into a live session (adopt_session). drop_replica
-// discards a replica whose origin session closed.
+// Shard replication (DESIGN.md §14): a router ships a session's snapshot,
+// or the acked mutating requests since its last ship, to a peer backend
+// (replicate_session), and on failover asks the peer to promote its
+// replica into a live session (adopt_session). drop_replica discards a
+// replica whose origin session closed.
 inline constexpr const char* kReplicateSession = "replicate_session";
 inline constexpr const char* kAdoptSession = "adopt_session";
 inline constexpr const char* kDropReplica = "drop_replica";
 // Router-local introspection (shard::Router answers this itself).
 inline constexpr const char* kShardStatus = "shard_status";
 }  // namespace cmd
+
+/// True for the session commands whose acked application changes session
+/// state: the set a shard router journals and a replica replays.
+[[nodiscard]] bool is_mutating_command(std::string_view command);
 
 // --- error codes -----------------------------------------------------------
 
@@ -124,8 +129,11 @@ inline constexpr const char* kFaultDisabled = "fault_disabled";
 inline constexpr const char* kShutdownDisabled = "shutdown_disabled";
 /// Server-side failure outside the request's control (e.g. spill I/O).
 inline constexpr const char* kInternal = "internal";
-/// adopt_session named an origin session with no stored replica.
+/// adopt_session, or a replicate_session append, named an origin session
+/// with no stored replica.
 inline constexpr const char* kNoReplica = "no_replica";
+/// A replicate_session append whose base is not the stored replica's seq.
+inline constexpr const char* kReplicaMismatch = "replica_mismatch";
 /// The peer vanished mid-exchange and failover could not recover the
 /// request (router-originated; backends never emit this).
 inline constexpr const char* kConnectionLost = "connection_lost";

@@ -1,14 +1,19 @@
 #include "rim/svc/replica_store.hpp"
 
+#include <iterator>
 #include <utility>
+
+#include "rim/svc/protocol.hpp"
 
 namespace rim::svc {
 
 io::Json ReplicaStoreCounters::to_json() const {
   io::JsonObject object;
   object["adopted"] = adopted.to_json();
+  object["appended"] = appended.to_json();
   object["dropped"] = dropped.to_json();
   object["rejected"] = rejected.to_json();
+  object["replayed"] = replayed.to_json();
   object["stored"] = stored.to_json();
   return io::Json(std::move(object));
 }
@@ -44,6 +49,43 @@ bool ReplicaStore::put(std::uint64_t origin, std::uint64_t seq,
   replica.snapshot = std::move(snapshot);
   replicas_[origin] = std::move(replica);
   ++counters_.stored;
+  return true;
+}
+
+bool ReplicaStore::append(std::uint64_t origin, std::uint64_t base,
+                          std::uint64_t seq, std::vector<std::string> entries,
+                          const char*& error_code, std::string& error) {
+  common::MutexLock lock(store_mutex_);
+  const auto it = replicas_.find(origin);
+  if (it == replicas_.end()) {
+    ++counters_.rejected;
+    error_code = code::kNoReplica;
+    error = "no replica for origin " + std::to_string(origin);
+    return false;
+  }
+  Replica& replica = it->second;
+  if (replica.seq != base) {
+    // A torn ship that landed, or a ship this append never saw: the tail
+    // would skip or repeat entries, so the router must ship in full.
+    ++counters_.rejected;
+    error_code = code::kReplicaMismatch;
+    error = "append base " + std::to_string(base) + " for origin " +
+            std::to_string(origin) + " does not match the stored seq " +
+            std::to_string(replica.seq);
+    return false;
+  }
+  if (seq <= base) {
+    ++counters_.rejected;
+    error_code = code::kBadRequest;
+    error = "append seq " + std::to_string(seq) +
+            " must be above its base " + std::to_string(base);
+    return false;
+  }
+  replica.tail.insert(replica.tail.end(),
+                      std::make_move_iterator(entries.begin()),
+                      std::make_move_iterator(entries.end()));
+  replica.seq = seq;
+  ++counters_.appended;
   return true;
 }
 

@@ -291,6 +291,9 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
       return make_error(id, code::kBadRequest,
                         "field 'seq' must be an integer ship sequence");
     }
+    if (request.find("base") != nullptr) {
+      return append_replica(id, origin, seq, request);
+    }
     const io::Json* snapshot_field = request.find("snapshot");
     core::Snapshot snapshot;
     std::uint64_t checksum = 0;
@@ -319,10 +322,63 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
     result["origin"] = io::Json(origin);
     return make_ok(id, io::Json(std::move(result)));
   }
-  // cmd::kAdoptSession: promote the replica into a live session. The
-  // replica is *taken* (single adoption), then restored through the same
-  // checkout/restore path a client restore uses, so the promoted session
-  // is observationally identical to the origin at ship time.
+  return adopt_replica(id, origin);
+}
+
+std::string Service::append_replica(std::uint64_t id, std::uint64_t origin,
+                                    std::uint64_t seq,
+                                    const io::Json& request) {
+  std::uint64_t base = 0;
+  if (!io::json_to_u64(*request.find("base"),
+                       std::numeric_limits<std::uint64_t>::max(), base)) {
+    return make_error(id, code::kBadRequest,
+                      "field 'base' must be an integer ship sequence");
+  }
+  const io::Json* journal_field = request.find("journal");
+  const io::JsonArray* journal =
+      journal_field != nullptr ? journal_field->as_array() : nullptr;
+  if (journal == nullptr) {
+    return make_error(id, code::kBadRequest,
+                      "field 'journal' must be an array of requests");
+  }
+  // Only what adopt can replay may enter the tail: each entry must be a
+  // request for a mutating session command. The bytes are kept, not the
+  // trees; adopt parses them again, once, if the replica is ever used.
+  std::vector<std::string> entries;
+  entries.reserve(journal->size());
+  for (const io::Json& entry : *journal) {
+    const io::Json* cmd_field = entry.find("cmd");
+    const std::string* entry_command =
+        cmd_field != nullptr ? cmd_field->as_string() : nullptr;
+    if (entry_command == nullptr || !is_mutating_command(*entry_command)) {
+      return make_error(id, code::kBadRequest,
+                        "journal entry " + std::to_string(entries.size()) +
+                            " is not a mutating session command");
+    }
+    entries.push_back(entry.dump());
+  }
+  const std::size_t appended = entries.size();
+  const char* error_code = code::kInternal;
+  std::string error;
+  if (!replicas_.append(origin, base, seq, std::move(entries), error_code,
+                        error)) {
+    return make_error(id, error_code, error);
+  }
+  io::JsonObject result;
+  result["appended"] = io::Json(appended);
+  result["origin"] = io::Json(origin);
+  result["seq"] = io::Json(seq);
+  return make_ok(id, io::Json(std::move(result)));
+}
+
+std::string Service::adopt_replica(std::uint64_t id, std::uint64_t origin) {
+  // Promote the replica into a live session. The replica is *taken*
+  // (single adoption), restored through the same checkout/restore path a
+  // client restore uses, and its tail replayed through the session
+  // dispatch a client command takes (without the tenant bucket: these
+  // commands were admitted once already, at the owner). The promoted
+  // session is observationally identical to the origin at the replica's
+  // last ship, or it is closed again: there is no partial adopt.
   ReplicaStore::Replica replica;
   if (!replicas_.take(origin, replica)) {
     return make_error(id, code::kNoReplica,
@@ -343,8 +399,25 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
   bool restored = false;
   if (pinned != nullptr) {
     {
-      common::MutexLock lock(pinned->mutex);
-      restored = pinned->scenario.restore(replica.snapshot, &error);
+      Session& s = *pinned;
+      common::MutexLock lock(s.mutex);
+      restored = s.scenario.restore(replica.snapshot, &error);
+      for (std::size_t i = 0; restored && i < replica.tail.size(); ++i) {
+        io::Json entry;
+        std::string replay_error;
+        if (!io::Json::parse(replica.tail[i], entry, replay_error)) {
+          restored = false;
+        } else {
+          // append_replica admitted only requests naming a mutating command.
+          const std::string& entry_command = *entry.find("cmd")->as_string();
+          replay_error =
+              run_session_command(s, 0, entry_command, entry, restored);
+        }
+        if (!restored) {
+          error = "replaying journal entry " + std::to_string(i) +
+                  " failed: " + replay_error;
+        }
+      }
     }
     sessions_.checkin(pinned);
   }
@@ -355,6 +428,7 @@ std::string Service::dispatch_replica_command(std::uint64_t id,
     registry_.remove_source(session_source_name(session_id));
     return make_error(id, code::kRestoreFailed, error);
   }
+  replicas_.record_replayed(replica.tail.size());
   io::JsonObject result;
   result["checksum"] = io::Json(replica.checksum);
   result["origin"] = io::Json(origin);
@@ -410,199 +484,208 @@ std::string Service::dispatch_session_command(std::uint64_t id,
                           "); retry later");
   }
 
-  Reply reply;
+  std::string response;
   {
     Session& s = *session;
     const obs::ScopedTimer timer(s.counters.handle_ns,
                                  &s.counters.latency_ns);
     ++s.counters.requests;
     common::MutexLock lock(s.mutex);
-
-    if (command == cmd::kAddNode) {
-      geom::Vec2 position{};
-      if (!position_from_request(request, position, error)) {
-        reply = error_reply(id, code::kBadRequest, error);
-      } else {
-        const NodeId node = s.scenario.add_node(position);
-        ++s.counters.mutations;
-        io::JsonObject result;
-        result["node"] = io::Json(node);
-        reply = ok_reply(id, io::Json(std::move(result)));
-      }
-    } else if (command == cmd::kRemoveNode) {
-      NodeId v = kInvalidNode;
-      if (!node_id_in_range(request, "v", s.scenario.node_count(), v,
-                            error)) {
-        reply = error_reply(id, code::kBadRequest, error);
-      } else {
-        const NodeId renamed = s.scenario.remove_node(v);
-        ++s.counters.mutations;
-        io::JsonObject result;
-        result["renamed"] = renamed == kInvalidNode
-                                ? io::Json(nullptr)
-                                : io::Json(renamed);
-        reply = ok_reply(id, io::Json(std::move(result)));
-      }
-    } else if (command == cmd::kAddEdge || command == cmd::kRemoveEdge) {
-      NodeId u = kInvalidNode;
-      NodeId v = kInvalidNode;
-      if (!node_id_in_range(request, "u", s.scenario.node_count(), u,
-                            error) ||
-          !node_id_in_range(request, "v", s.scenario.node_count(), v,
-                            error)) {
-        reply = error_reply(id, code::kBadRequest, error);
-      } else if (command == cmd::kAddEdge) {
-        const bool added = s.scenario.add_edge(u, v);
-        ++s.counters.mutations;
-        io::JsonObject result;
-        result["added"] = io::Json(added);
-        reply = ok_reply(id, io::Json(std::move(result)));
-      } else {
-        const bool removed = s.scenario.remove_edge(u, v);
-        ++s.counters.mutations;
-        io::JsonObject result;
-        result["removed"] = io::Json(removed);
-        reply = ok_reply(id, io::Json(std::move(result)));
-      }
-    } else if (command == cmd::kMove) {
-      NodeId v = kInvalidNode;
-      geom::Vec2 position{};
-      if (!node_id_in_range(request, "v", s.scenario.node_count(), v,
-                            error) ||
-          !position_from_request(request, position, error)) {
-        reply = error_reply(id, code::kBadRequest, error);
-      } else {
-        s.scenario.move_node(v, position);
-        ++s.counters.mutations;
-        io::JsonObject result;
-        result["moved"] = io::Json(true);
-        reply = ok_reply(id, io::Json(std::move(result)));
-      }
-    } else if (command == cmd::kApplyBatch) {
-      std::vector<core::Mutation> batch;
-      const io::Json* batch_field = request.find("batch");
-      if (batch_field == nullptr ||
-          !mutation_batch_from_json(*batch_field, batch, error)) {
-        reply = error_reply(id, code::kBadRequest,
-                            batch_field == nullptr
-                                ? "field 'batch' must be a mutation array"
-                                : error);
-      } else if (const io::Json* fault_field = request.find("fault");
-                 fault_field != nullptr) {
-        if (!config_.enable_fault_injection) {
-          reply = error_reply(id, code::kFaultDisabled,
-                              "fault injection is disabled on this service");
-        } else {
-          sim::FaultEvent event;
-          const io::Json* kind = fault_field->find("kind");
-          const io::Json* index = fault_field->find("index");
-          std::uint64_t index_value = 0;
-          const std::string* kind_name =
-              kind != nullptr ? kind->as_string() : nullptr;
-          if (kind_name == nullptr ||
-              !sim::fault_kind_from_string(*kind_name, event.kind) ||
-              index == nullptr ||
-              !io::json_to_u64(*index,
-                               std::numeric_limits<std::uint32_t>::max(),
-                               index_value)) {
-            reply = error_reply(id, code::kBadRequest,
-                                "field 'fault' must carry a fault kind "
-                                "name and an integer index");
-          } else {
-            event.index = static_cast<std::size_t>(index_value);
-            const bool recover =
-                request.find("recover") == nullptr ||
-                request.find("recover")->as_bool(true);
-            const sim::FaultedBatchOutcome outcome =
-                sim::apply_batch_with_faults(s.scenario, batch, &event,
-                                             &batch_pool_, recover);
-            s.counters.mutations += outcome.result.applied;
-            io::Json result_json = batch_result_to_json(outcome.result);
-            io::JsonObject result = *result_json.as_object();
-            result["fault_fired"] = io::Json(outcome.fault_fired);
-            result["restored"] = io::Json(outcome.restored);
-            reply = ok_reply(id, io::Json(std::move(result)));
-          }
-        }
-      } else {
-        const core::BatchResult result =
-            s.scenario.apply_batch(batch, &batch_pool_);
-        s.counters.mutations += result.applied;
-        reply = ok_reply(id, batch_result_to_json(result));
-      }
-    } else if (command == cmd::kAssess) {
-      std::vector<core::Mutation> mutations;
-      const io::Json* mutations_field = request.find("mutations");
-      if (mutations_field == nullptr ||
-          !mutation_batch_from_json(*mutations_field, mutations, error)) {
-        reply = error_reply(id, code::kBadRequest,
-                            mutations_field == nullptr
-                                ? "field 'mutations' must be a mutation array"
-                                : error);
-      } else {
-        const core::Assessment assessment = core::Assessor{}.assess(
-            s.scenario, std::span<const core::Mutation>(mutations));
-        reply = ok_reply(id, assessment_to_json(assessment));
-      }
-    } else if (command == cmd::kQueryInterference) {
-      if (const io::Json* v_field = request.find("v"); v_field != nullptr) {
-        NodeId v = kInvalidNode;
-        if (!node_id_in_range(request, "v", s.scenario.node_count(), v,
-                              error)) {
-          reply = error_reply(id, code::kBadRequest, error);
-        } else {
-          io::JsonObject result;
-          result["node"] = io::Json(v);
-          result["value"] = io::Json(s.scenario.interference_of(v));
-          reply = ok_reply(id, io::Json(std::move(result)));
-        }
-      } else {
-        io::JsonObject result;
-        io::JsonArray per_node;
-        const std::span<const std::uint32_t> interference =
-            s.scenario.interference();
-        per_node.reserve(interference.size());
-        for (const std::uint32_t value : interference) {
-          per_node.emplace_back(value);
-        }
-        result["max"] = io::Json(s.scenario.max_interference());
-        result["per_node"] = io::Json(std::move(per_node));
-        result["total"] = io::Json(s.scenario.total_interference());
-        reply = ok_reply(id, io::Json(std::move(result)));
-      }
-    } else if (command == cmd::kSnapshot) {
-      core::Snapshot snapshot = s.scenario.snapshot();
-      io::JsonObject result;
-      result["snapshot"] = snapshot.to_json();
-      reply = ok_reply(id, io::Json(std::move(result)));
-    } else if (command == cmd::kRestore) {
-      const io::Json* snapshot_field = request.find("snapshot");
-      core::Snapshot snapshot;
-      if (snapshot_field == nullptr ||
-          !core::Snapshot::from_json(*snapshot_field, snapshot, error)) {
-        reply = error_reply(id, code::kRestoreFailed,
-                            snapshot_field == nullptr
-                                ? "field 'snapshot' must be a snapshot "
-                                  "document"
-                                : error);
-      } else if (!s.scenario.restore(snapshot, &error)) {
-        reply = error_reply(id, code::kRestoreFailed, error);
-      } else {
-        io::JsonObject result;
-        result["restored"] = io::Json(true);
-        reply = ok_reply(id, io::Json(std::move(result)));
-      }
-    } else {  // cmd::kSessionStats
-      io::JsonObject result;
-      result["edges"] = io::Json(s.scenario.edge_count());
-      result["nodes"] = io::Json(s.scenario.node_count());
-      result["stats"] = s.scenario.stats_json();
-      reply = ok_reply(id, io::Json(std::move(result)));
-    }
-
-    if (!reply.ok) ++s.counters.errors;
+    bool ok = false;
+    response = run_session_command(s, id, command, request, ok);
+    if (!ok) ++s.counters.errors;
   }
   sessions_.checkin(session);
+  return response;
+}
+
+std::string Service::run_session_command(Session& s, std::uint64_t id,
+                                         const std::string& command,
+                                         const io::Json& request, bool& ok) {
+  std::string error;
+  Reply reply;
+  if (command == cmd::kAddNode) {
+    geom::Vec2 position{};
+    if (!position_from_request(request, position, error)) {
+      reply = error_reply(id, code::kBadRequest, error);
+    } else {
+      const NodeId node = s.scenario.add_node(position);
+      ++s.counters.mutations;
+      io::JsonObject result;
+      result["node"] = io::Json(node);
+      reply = ok_reply(id, io::Json(std::move(result)));
+    }
+  } else if (command == cmd::kRemoveNode) {
+    NodeId v = kInvalidNode;
+    if (!node_id_in_range(request, "v", s.scenario.node_count(), v,
+                          error)) {
+      reply = error_reply(id, code::kBadRequest, error);
+    } else {
+      const NodeId renamed = s.scenario.remove_node(v);
+      ++s.counters.mutations;
+      io::JsonObject result;
+      result["renamed"] = renamed == kInvalidNode
+                              ? io::Json(nullptr)
+                              : io::Json(renamed);
+      reply = ok_reply(id, io::Json(std::move(result)));
+    }
+  } else if (command == cmd::kAddEdge || command == cmd::kRemoveEdge) {
+    NodeId u = kInvalidNode;
+    NodeId v = kInvalidNode;
+    if (!node_id_in_range(request, "u", s.scenario.node_count(), u,
+                          error) ||
+        !node_id_in_range(request, "v", s.scenario.node_count(), v,
+                          error)) {
+      reply = error_reply(id, code::kBadRequest, error);
+    } else if (command == cmd::kAddEdge) {
+      const bool added = s.scenario.add_edge(u, v);
+      ++s.counters.mutations;
+      io::JsonObject result;
+      result["added"] = io::Json(added);
+      reply = ok_reply(id, io::Json(std::move(result)));
+    } else {
+      const bool removed = s.scenario.remove_edge(u, v);
+      ++s.counters.mutations;
+      io::JsonObject result;
+      result["removed"] = io::Json(removed);
+      reply = ok_reply(id, io::Json(std::move(result)));
+    }
+  } else if (command == cmd::kMove) {
+    NodeId v = kInvalidNode;
+    geom::Vec2 position{};
+    if (!node_id_in_range(request, "v", s.scenario.node_count(), v,
+                          error) ||
+        !position_from_request(request, position, error)) {
+      reply = error_reply(id, code::kBadRequest, error);
+    } else {
+      s.scenario.move_node(v, position);
+      ++s.counters.mutations;
+      io::JsonObject result;
+      result["moved"] = io::Json(true);
+      reply = ok_reply(id, io::Json(std::move(result)));
+    }
+  } else if (command == cmd::kApplyBatch) {
+    std::vector<core::Mutation> batch;
+    const io::Json* batch_field = request.find("batch");
+    if (batch_field == nullptr ||
+        !mutation_batch_from_json(*batch_field, batch, error)) {
+      reply = error_reply(id, code::kBadRequest,
+                          batch_field == nullptr
+                              ? "field 'batch' must be a mutation array"
+                              : error);
+    } else if (const io::Json* fault_field = request.find("fault");
+               fault_field != nullptr) {
+      if (!config_.enable_fault_injection) {
+        reply = error_reply(id, code::kFaultDisabled,
+                            "fault injection is disabled on this service");
+      } else {
+        sim::FaultEvent event;
+        const io::Json* kind = fault_field->find("kind");
+        const io::Json* index = fault_field->find("index");
+        std::uint64_t index_value = 0;
+        const std::string* kind_name =
+            kind != nullptr ? kind->as_string() : nullptr;
+        if (kind_name == nullptr ||
+            !sim::fault_kind_from_string(*kind_name, event.kind) ||
+            index == nullptr ||
+            !io::json_to_u64(*index,
+                             std::numeric_limits<std::uint32_t>::max(),
+                             index_value)) {
+          reply = error_reply(id, code::kBadRequest,
+                              "field 'fault' must carry a fault kind "
+                              "name and an integer index");
+        } else {
+          event.index = static_cast<std::size_t>(index_value);
+          const bool recover =
+              request.find("recover") == nullptr ||
+              request.find("recover")->as_bool(true);
+          const sim::FaultedBatchOutcome outcome =
+              sim::apply_batch_with_faults(s.scenario, batch, &event,
+                                           &batch_pool_, recover);
+          s.counters.mutations += outcome.result.applied;
+          io::Json result_json = batch_result_to_json(outcome.result);
+          io::JsonObject result = *result_json.as_object();
+          result["fault_fired"] = io::Json(outcome.fault_fired);
+          result["restored"] = io::Json(outcome.restored);
+          reply = ok_reply(id, io::Json(std::move(result)));
+        }
+      }
+    } else {
+      const core::BatchResult result =
+          s.scenario.apply_batch(batch, &batch_pool_);
+      s.counters.mutations += result.applied;
+      reply = ok_reply(id, batch_result_to_json(result));
+    }
+  } else if (command == cmd::kAssess) {
+    std::vector<core::Mutation> mutations;
+    const io::Json* mutations_field = request.find("mutations");
+    if (mutations_field == nullptr ||
+        !mutation_batch_from_json(*mutations_field, mutations, error)) {
+      reply = error_reply(id, code::kBadRequest,
+                          mutations_field == nullptr
+                              ? "field 'mutations' must be a mutation array"
+                              : error);
+    } else {
+      const core::Assessment assessment = core::Assessor{}.assess(
+          s.scenario, std::span<const core::Mutation>(mutations));
+      reply = ok_reply(id, assessment_to_json(assessment));
+    }
+  } else if (command == cmd::kQueryInterference) {
+    if (const io::Json* v_field = request.find("v"); v_field != nullptr) {
+      NodeId v = kInvalidNode;
+      if (!node_id_in_range(request, "v", s.scenario.node_count(), v,
+                            error)) {
+        reply = error_reply(id, code::kBadRequest, error);
+      } else {
+        io::JsonObject result;
+        result["node"] = io::Json(v);
+        result["value"] = io::Json(s.scenario.interference_of(v));
+        reply = ok_reply(id, io::Json(std::move(result)));
+      }
+    } else {
+      io::JsonObject result;
+      io::JsonArray per_node;
+      const std::span<const std::uint32_t> interference =
+          s.scenario.interference();
+      per_node.reserve(interference.size());
+      for (const std::uint32_t value : interference) {
+        per_node.emplace_back(value);
+      }
+      result["max"] = io::Json(s.scenario.max_interference());
+      result["per_node"] = io::Json(std::move(per_node));
+      result["total"] = io::Json(s.scenario.total_interference());
+      reply = ok_reply(id, io::Json(std::move(result)));
+    }
+  } else if (command == cmd::kSnapshot) {
+    core::Snapshot snapshot = s.scenario.snapshot();
+    io::JsonObject result;
+    result["snapshot"] = snapshot.to_json();
+    reply = ok_reply(id, io::Json(std::move(result)));
+  } else if (command == cmd::kRestore) {
+    const io::Json* snapshot_field = request.find("snapshot");
+    core::Snapshot snapshot;
+    if (snapshot_field == nullptr ||
+        !core::Snapshot::from_json(*snapshot_field, snapshot, error)) {
+      reply = error_reply(id, code::kRestoreFailed,
+                          snapshot_field == nullptr
+                              ? "field 'snapshot' must be a snapshot "
+                                "document"
+                              : error);
+    } else if (!s.scenario.restore(snapshot, &error)) {
+      reply = error_reply(id, code::kRestoreFailed, error);
+    } else {
+      io::JsonObject result;
+      result["restored"] = io::Json(true);
+      reply = ok_reply(id, io::Json(std::move(result)));
+    }
+  } else {  // cmd::kSessionStats
+    io::JsonObject result;
+    result["edges"] = io::Json(s.scenario.edge_count());
+    result["nodes"] = io::Json(s.scenario.node_count());
+    result["stats"] = s.scenario.stats_json();
+    reply = ok_reply(id, io::Json(std::move(result)));
+  }
+  ok = reply.ok;
   return std::move(reply.payload);
 }
 

@@ -144,10 +144,27 @@ class Service final : public RequestHandler {
   /// Commands addressing one session: checkout, run, checkin.
   [[nodiscard]] std::string dispatch_session_command(
       std::uint64_t id, const std::string& command, const io::Json& request);
+  /// Run one known session command on session \p s, whose mutex the
+  /// caller holds. \p ok reports whether the response is an ok envelope.
+  [[nodiscard]] std::string run_session_command(Session& s, std::uint64_t id,
+                                                const std::string& command,
+                                                const io::Json& request,
+                                                bool& ok)
+      RIM_REQUIRES(s.mutex);
   /// Shard replication commands (replicate_session/adopt_session/
   /// drop_replica — protocol.hpp, DESIGN.md §14).
   [[nodiscard]] std::string dispatch_replica_command(
       std::uint64_t id, const std::string& command, const io::Json& request);
+  /// replicate_session with "base" and "journal": append acked mutating
+  /// requests to \p origin's replica (DESIGN.md §14.2).
+  [[nodiscard]] std::string append_replica(std::uint64_t id,
+                                           std::uint64_t origin,
+                                           std::uint64_t seq,
+                                           const io::Json& request);
+  /// adopt_session: restore \p origin's replica snapshot into a new live
+  /// session and replay its tail; all or nothing.
+  [[nodiscard]] std::string adopt_replica(std::uint64_t id,
+                                          std::uint64_t origin);
 
   ServiceConfig config_;
   SessionManager sessions_;

@@ -77,7 +77,8 @@ struct Cluster {
              if (killed_flag->load()) return nullptr;
              return std::make_unique<KillableTransport>(*service, killed_flag,
                                                         drop);
-           }});
+           },
+           /*probe_connect=*/nullptr});
     }
     config.replication.ship_every = ship_every;
     config.replication.max_journal = max_journal;
@@ -170,6 +171,74 @@ TEST(ShardFailover, KilledOwnerRestoresOnPeerChecksumIdentical) {
     EXPECT_EQ(killed.router->counters().sessions_moved.value(), 1u);
     EXPECT_GE(killed.router->replicator().counters().adoptions.value(), 1u);
     EXPECT_EQ(clean.router->counters().sessions_moved.value(), 0u);
+  }
+}
+
+TEST(ShardFailover, AdoptAfterAppendsMatchesOwnerWithNoRouterReplays) {
+  // Every write ships (ship_every = 1): the first as a full snapshot, the
+  // rest as appends. The peer then holds a snapshot plus a four-entry
+  // tail and the router's journal is empty, so the adopt alone must
+  // rebuild the owner's state.
+  Cluster clean(2, /*ship_every=*/1);
+  Cluster killed(2, /*ship_every=*/1);
+  for (Cluster* cluster : {&clean, &killed}) {
+    ASSERT_NE(cluster->handle(R"({"cmd":"create_session","id":1})")
+                  .find("\"ok\":true"),
+              std::string::npos);
+  }
+  const std::vector<std::string> script = session_script();
+  for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(clean.handle(script[i]), killed.handle(script[i]));
+  }
+  const shard::ReplicatorCounters& counters =
+      killed.router->replicator().counters();
+  EXPECT_EQ(counters.shipped.value(), 5u);
+  EXPECT_EQ(counters.full_ships.value(), 1u);
+  const std::size_t owner = killed.owner_index(1);
+  const std::size_t peer = 1 - owner;
+  EXPECT_EQ(killed.services[peer]->replicas().counters().appended.value(),
+            4u);
+  killed.killed[owner]->store(true);
+  EXPECT_EQ(clean.handle(kFinalQuery), killed.handle(kFinalQuery));
+  EXPECT_EQ(topology_view(clean.handle(kFinalStats)),
+            topology_view(killed.handle(kFinalStats)));
+  EXPECT_EQ(counters.adoptions.value(), 1u);
+  EXPECT_EQ(counters.replays.value(), 0u);
+  EXPECT_EQ(killed.services[peer]->replicas().counters().replayed.value(), 4u);
+  EXPECT_EQ(killed.router->counters().lost_sessions.value(), 0u);
+}
+
+TEST(ShardFailover, MixedFullAndAppendShipsSurviveOwnerKill) {
+  // The script's batch outgrows a three-node snapshot, so shipping every
+  // write mixes full ships and appends; killing the owner at any point
+  // must still leave answers checksum-identical to the clean twin.
+  for (const std::size_t kill_after : {3u, 5u, 6u, 8u}) {
+    Cluster clean(2, /*ship_every=*/1);
+    Cluster killed(2, /*ship_every=*/1);
+    for (Cluster* cluster : {&clean, &killed}) {
+      ASSERT_NE(cluster->handle(R"({"cmd":"create_session","id":1})")
+                    .find("\"ok\":true"),
+                std::string::npos);
+    }
+    const std::size_t owner = killed.owner_index(1);
+    const std::vector<std::string> script = session_script();
+    for (std::size_t i = 0; i < script.size(); ++i) {
+      if (i == kill_after) killed.killed[owner]->store(true);
+      EXPECT_EQ(clean.handle(script[i]), killed.handle(script[i]))
+          << "kill_after=" << kill_after << " diverged at: " << script[i];
+    }
+    EXPECT_EQ(clean.handle(kFinalQuery), killed.handle(kFinalQuery))
+        << "kill_after=" << kill_after;
+    EXPECT_EQ(topology_view(clean.handle(kFinalStats)),
+              topology_view(killed.handle(kFinalStats)))
+        << "kill_after=" << kill_after;
+    EXPECT_EQ(killed.router->counters().lost_sessions.value(), 0u);
+    EXPECT_EQ(killed.router->counters().sessions_moved.value(), 1u);
+    const shard::ReplicatorCounters& shipped =
+        clean.router->replicator().counters();
+    EXPECT_EQ(shipped.shipped.value(), script.size());
+    EXPECT_GE(shipped.full_ships.value(), 2u);
+    EXPECT_GE(shipped.shipped.value() - shipped.full_ships.value(), 2u);
   }
 }
 

@@ -71,26 +71,74 @@ std::string redumped_request(const std::string& response, std::uint64_t seq) {
 }
 
 /// A fake Exchange: "owner" answers every request with a canned response,
-/// "peer" is a real Service. Every payload sent is recorded.
+/// "peer" and "peer2" are real Services. Every payload sent is recorded.
 struct FakeBackends {
   std::string owner_answer;
   svc::Service peer{one_thread_service()};
+  svc::Service peer2{one_thread_service()};
   std::vector<std::pair<std::string, std::string>> sent;
 
   [[nodiscard]] shard::Exchange exchange() {
     return [this](const std::string& backend, const std::string& payload,
                   std::string& response) {
       sent.emplace_back(backend, payload);
-      response = backend == "owner" ? owner_answer : peer.handle(payload);
+      response = backend == "owner"   ? owner_answer
+                 : backend == "peer2" ? peer2.handle(payload)
+                                      : peer.handle(payload);
       return svc::TransportStatus::kOk;
     };
   }
 
-  bool ship(shard::Replicator& replicator, shard::ReplicaState& state) {
-    return replicator.ship(kOrigin, "owner", kOwnerSession, "peer",
-                           exchange(), state, 1);
+  bool ship(shard::Replicator& replicator, shard::ReplicaState& state,
+            const std::string& to = "peer") {
+    return replicator.ship(kOrigin, "owner", kOwnerSession, to, exchange(),
+                           state, 1);
+  }
+
+  /// Journal one acked add_node (a canonical request dump) and ship it.
+  /// Returns the payload journaled.
+  std::string write_and_ship(shard::Replicator& replicator,
+                             shard::ReplicaState& state, std::uint64_t id,
+                             const std::string& to = "peer") {
+    io::JsonObject request;
+    request["cmd"] = io::Json(svc::cmd::kAddNode);
+    request["id"] = io::Json(id);
+    request["session"] = io::Json(kOwnerSession);
+    request["x"] = io::Json(0.125 * static_cast<double>(id));
+    request["y"] = io::Json(0.5);
+    std::string payload = io::Json(std::move(request)).dump();
+    (void)replicator.record_mutation(state, payload, 1);
+    EXPECT_TRUE(ship(replicator, state, to));
+    return payload;
   }
 };
+
+/// The append request the parse -> re-dump path would build: the
+/// reference the spliced bytes must equal.
+std::string redumped_append(std::uint64_t base, std::uint64_t seq,
+                            const std::vector<std::string>& payloads) {
+  io::JsonArray journal;
+  for (const std::string& payload : payloads) {
+    io::Json entry;
+    std::string error;
+    EXPECT_TRUE(io::Json::parse(payload, entry, error)) << error;
+    journal.push_back(std::move(entry));
+  }
+  io::JsonObject request;
+  request["base"] = io::Json(base);
+  request["cmd"] = io::Json(svc::cmd::kReplicateSession);
+  request["id"] = io::Json(std::uint64_t{0});
+  request["journal"] = io::Json(std::move(journal));
+  request["origin"] = io::Json(kOrigin);
+  request["seq"] = io::Json(seq);
+  return io::Json(std::move(request)).dump();
+}
+
+/// True iff \p payload is a full ship's snapshot request to the owner.
+bool is_snapshot_fetch(const std::pair<std::string, std::string>& sent) {
+  return sent.first == "owner" &&
+         sent.second.find(R"("cmd":"snapshot")") != std::string::npos;
+}
 
 void expect_forwarded_verbatim(const core::Snapshot& snapshot) {
   FakeBackends backends;
@@ -166,6 +214,10 @@ TEST(ShardReplicator, RefusesEveryOtherOwnerResponseShape) {
     }
     EXPECT_EQ(state.ship_attempt_seq, 0u);
     EXPECT_FALSE(state.has_replica);
+    // The reason is kept, not dropped.
+    EXPECT_EQ(replicator.last_ship_error().rfind("origin 7: snapshot: ", 0),
+              0u)
+        << replicator.last_ship_error();
   }
 }
 
@@ -192,6 +244,142 @@ TEST(ShardReplicator, DepthLimitMatchesParsingTheWholeResponse) {
       EXPECT_EQ(backends.sent[1].second, redumped_request(response, 1));
     }
   }
+}
+
+TEST(ShardReplicator, SecondWriteShipsOneAppendAndNoSnapshot) {
+  FakeBackends backends;
+  backends.owner_answer = owner_response(large_snapshot());
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1);
+  ASSERT_EQ(backends.sent.size(), 2u);  // snapshot + replicate
+  const std::string payload = backends.write_and_ship(replicator, state, 2);
+  // One exchange, with the peer: no snapshot fetched from the owner.
+  ASSERT_EQ(backends.sent.size(), 3u);
+  EXPECT_EQ(backends.sent[2].first, "peer");
+  EXPECT_EQ(backends.sent[2].second, redumped_append(1, 2, {payload}));
+  const shard::ReplicatorCounters& counters = replicator.counters();
+  EXPECT_EQ(counters.shipped.value(), 2u);
+  EXPECT_EQ(counters.full_ships.value(), 1u);
+  EXPECT_EQ(counters.ship_failures.value(), 0u);
+  EXPECT_EQ(replicator.last_ship_error(), "");
+  EXPECT_EQ(state.shipped_seq, 2u);
+  EXPECT_TRUE(state.journal.empty());
+  EXPECT_EQ(state.tail_bytes, payload.size());
+  // The peer keeps the entry's bytes after the snapshot, at the new seq.
+  EXPECT_EQ(backends.peer.replicas().counters().appended.value(), 1u);
+  svc::ReplicaStore::Replica replica;
+  ASSERT_TRUE(backends.peer.replicas().take(kOrigin, replica));
+  EXPECT_EQ(replica.seq, 2u);
+  EXPECT_EQ(replica.tail, std::vector<std::string>{payload});
+}
+
+TEST(ShardReplicator, TailOutgrowingTheSnapshotForcesAFullShip) {
+  // An empty session's snapshot is a few hundred bytes, so a handful of
+  // appended writes outgrow it: the ship that would push the tail past
+  // the snapshot's bytes starts a new log instead.
+  FakeBackends backends;
+  core::Scenario empty;
+  backends.owner_answer = owner_response(empty.snapshot());
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1);
+  const std::size_t snapshot_bytes = state.snapshot_bytes;
+  ASSERT_GT(snapshot_bytes, 0u);
+  std::size_t appends = 0;
+  std::size_t fulls = 0;
+  for (std::uint64_t id = 2; id < 40; ++id) {
+    const std::size_t tail_before = state.tail_bytes;
+    const std::size_t sent_before = backends.sent.size();
+    const std::string payload =
+        backends.write_and_ship(replicator, state, id);
+    const bool fits = tail_before + payload.size() <= snapshot_bytes;
+    ASSERT_EQ(backends.sent.size() - sent_before, fits ? 1u : 2u);
+    EXPECT_EQ(is_snapshot_fetch(backends.sent[sent_before]), !fits);
+    EXPECT_EQ(state.tail_bytes, fits ? tail_before + payload.size() : 0u);
+    EXPECT_LE(state.tail_bytes, state.snapshot_bytes);
+    ++(fits ? appends : fulls);
+  }
+  EXPECT_GT(appends, 0u);
+  EXPECT_GT(fulls, 0u);
+  EXPECT_EQ(replicator.counters().full_ships.value(), fulls + 1);
+  EXPECT_EQ(replicator.counters().shipped.value(), appends + fulls + 1);
+  EXPECT_EQ(replicator.counters().ship_failures.value(), 0u);
+}
+
+TEST(ShardReplicator, TruncatedJournalForcesAFullShip) {
+  FakeBackends backends;
+  backends.owner_answer = owner_response(large_snapshot());
+  shard::Replicator replicator(
+      shard::ReplicationPolicy{.ship_every = 1, .max_journal = 1});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1);
+  // Two acked writes with no ship between: the journal sheds one.
+  (void)replicator.record_mutation(state, R"({"cmd":"add_node"})", 1);
+  (void)replicator.record_mutation(state, R"({"cmd":"add_node"})", 1);
+  ASSERT_TRUE(state.truncated);
+  const std::size_t sent_before = backends.sent.size();
+  ASSERT_TRUE(backends.ship(replicator, state));
+  ASSERT_EQ(backends.sent.size() - sent_before, 2u);
+  EXPECT_TRUE(is_snapshot_fetch(backends.sent[sent_before]));
+  EXPECT_FALSE(state.truncated);
+  EXPECT_EQ(replicator.counters().full_ships.value(), 2u);
+}
+
+TEST(ShardReplicator, PeerChangeForcesAFullShip) {
+  FakeBackends backends;
+  backends.owner_answer = owner_response(large_snapshot());
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1);
+  const std::size_t sent_before = backends.sent.size();
+  (void)backends.write_and_ship(replicator, state, 2, "peer2");
+  ASSERT_EQ(backends.sent.size() - sent_before, 2u);
+  EXPECT_TRUE(is_snapshot_fetch(backends.sent[sent_before]));
+  EXPECT_EQ(backends.sent[sent_before + 1].first, "peer2");
+  EXPECT_EQ(state.peer, "peer2");
+  EXPECT_EQ(backends.peer2.replicas().size(), 1u);
+  EXPECT_EQ(replicator.counters().full_ships.value(), 2u);
+  EXPECT_EQ(replicator.counters().shipped.value(), 2u);
+}
+
+TEST(ShardReplicator, RefusedAppendFallsBackToAFullShipInTheSameCall) {
+  FakeBackends backends;
+  backends.owner_answer = owner_response(large_snapshot());
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1);
+  // A ship this router never saw acked lands at the peer (a torn replicate
+  // that arrived): the peer's seq moves past the router's shipped_seq.
+  svc::ReplicaStore::Replica landed;
+  ASSERT_TRUE(backends.peer.replicas().take(kOrigin, landed));
+  std::string error;
+  ASSERT_TRUE(backends.peer.replicas().put(kOrigin, 2, landed.checksum,
+                                           landed.snapshot, error))
+      << error;
+  state.ship_attempt_seq = 2;
+  const std::size_t sent_before = backends.sent.size();
+  (void)backends.write_and_ship(replicator, state, 2);
+  // Append at base 1 refused, then snapshot + replicate at a fresh seq.
+  ASSERT_EQ(backends.sent.size() - sent_before, 3u);
+  EXPECT_EQ(backends.sent[sent_before].first, "peer");
+  EXPECT_NE(backends.sent[sent_before].second.find(R"("base":1,)"),
+            std::string::npos);
+  EXPECT_TRUE(is_snapshot_fetch(backends.sent[sent_before + 1]));
+  EXPECT_EQ(state.shipped_seq, 4u);
+  const shard::ReplicatorCounters& counters = replicator.counters();
+  EXPECT_EQ(counters.shipped.value(), 2u);
+  EXPECT_EQ(counters.full_ships.value(), 2u);
+  EXPECT_EQ(counters.ship_failures.value(), 0u);
+  const std::string note = replicator.last_ship_error();
+  EXPECT_EQ(note.rfind("origin 7: append refused (", 0), 0u) << note;
+  EXPECT_NE(note.find("does not match the stored seq 2"), std::string::npos)
+      << note;
+  EXPECT_NE(note.find("fell back to a full ship"), std::string::npos) << note;
+  svc::ReplicaStore::Replica replica;
+  ASSERT_TRUE(backends.peer.replicas().take(kOrigin, replica));
+  EXPECT_EQ(replica.seq, 4u);
+  EXPECT_TRUE(replica.tail.empty());
 }
 
 TEST(ShardReplicator, EveryAckedWriteShipsOverTcp) {

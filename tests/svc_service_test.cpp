@@ -520,5 +520,130 @@ TEST(SvcReplica, DuplicateReplicatePutIsIdempotent) {
   EXPECT_EQ(service.replicas().size(), 1u);
 }
 
+/// A peer Service holding origin 77's replica of a 2-node session at
+/// seq 1, for the append tests.
+class SvcReplicaAppend : public ::testing::Test {
+ protected:
+  SvcReplicaAppend() : service_(loopback_config()) {
+    core::Scenario owner;
+    (void)owner.add_node({0.0, 0.0});
+    (void)owner.add_node({0.6, 0.0});
+    snapshot_ = owner.snapshot();
+  }
+
+  std::string replicate(std::uint64_t seq) {
+    io::JsonObject request;
+    request["cmd"] = io::Json("replicate_session");
+    request["id"] = io::Json(std::uint64_t{9});
+    request["origin"] = io::Json(std::uint64_t{77});
+    request["seq"] = io::Json(seq);
+    request["snapshot"] = snapshot_.to_json();
+    return service_.handle(io::Json(std::move(request)).dump());
+  }
+
+  std::string append(std::uint64_t base, std::uint64_t seq,
+                     const std::string& journal) {
+    return service_.handle(
+        R"({"base":)" + std::to_string(base) +
+        R"(,"cmd":"replicate_session","id":9,"journal":[)" + journal +
+        R"(],"origin":77,"seq":)" + std::to_string(seq) + "}");
+  }
+
+  std::string adopt() {
+    return service_.handle(
+        R"({"cmd":"adopt_session","id":10,"origin":77})");
+  }
+
+  Service service_;
+  core::Snapshot snapshot_;
+};
+
+constexpr const char* kAddEdge01 =
+    R"({"cmd":"add_edge","id":3,"session":5,"u":0,"v":1})";
+
+TEST_F(SvcReplicaAppend, RefusesWithoutReplicaOnWrongBaseAndForNonMutations) {
+  // No replica stored yet.
+  const std::string no_replica = append(1, 2, kAddEdge01);
+  EXPECT_NE(no_replica.find(R"("code":"no_replica")"), std::string::npos)
+      << no_replica;
+  ASSERT_NE(replicate(1).find("\"ok\":true"), std::string::npos);
+  // The stored replica is at seq 1, not 3.
+  const std::string stale = append(3, 4, kAddEdge01);
+  EXPECT_NE(stale.find(R"("code":"replica_mismatch")"), std::string::npos)
+      << stale;
+  // Only mutating session commands can enter the tail.
+  const std::string query = append(
+      1, 2, R"({"cmd":"query_interference","id":4,"session":5})");
+  EXPECT_NE(query.find(R"("code":"bad_request")"), std::string::npos)
+      << query;
+  EXPECT_NE(query.find("journal entry 0 is not a mutating"), std::string::npos)
+      << query;
+  const std::string not_object = append(1, 2, "17");
+  EXPECT_NE(not_object.find(R"("code":"bad_request")"), std::string::npos)
+      << not_object;
+  EXPECT_EQ(service_.replicas().counters().appended.value(), 0u);
+  EXPECT_EQ(service_.replicas().counters().rejected.value(), 2u);
+  // None of the refusals touched the replica: an append at base 1 lands.
+  const std::string landed = append(1, 2, kAddEdge01);
+  EXPECT_NE(landed.find(R"("appended":1)"), std::string::npos) << landed;
+  EXPECT_EQ(service_.replicas().counters().appended.value(), 1u);
+}
+
+TEST_F(SvcReplicaAppend, AdoptRestoresTheSnapshotThenReplaysTheTail) {
+  ASSERT_NE(replicate(1).find("\"ok\":true"), std::string::npos);
+  ASSERT_NE(append(1, 2, kAddEdge01).find("\"ok\":true"), std::string::npos);
+  ASSERT_NE(append(2, 3,
+                   R"({"cmd":"add_node","id":4,"session":5,"x":1.0,"y":0.2},)"
+                   R"({"cmd":"move","id":5,"session":5,"v":0,"x":0.1,"y":0.1})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  const std::string adopted = adopt();
+  ASSERT_NE(adopted.find("\"ok\":true"), std::string::npos) << adopted;
+  EXPECT_NE(adopted.find(R"("seq":3)"), std::string::npos) << adopted;
+  EXPECT_EQ(service_.replicas().counters().replayed.value(), 3u);
+  EXPECT_EQ(service_.replicas().size(), 0u);
+
+  core::Scenario twin;
+  ASSERT_TRUE(twin.restore(snapshot_));
+  ASSERT_TRUE(twin.add_edge(0, 1));
+  (void)twin.add_node({1.0, 0.2});
+  twin.move_node(0, {0.1, 0.1});
+  io::JsonObject expected;
+  io::JsonArray per_node;
+  for (const std::uint32_t value : twin.interference()) {
+    per_node.emplace_back(value);
+  }
+  expected["max"] = io::Json(twin.max_interference());
+  expected["per_node"] = io::Json(std::move(per_node));
+  expected["total"] = io::Json(twin.total_interference());
+  io::Json document;
+  std::string error;
+  ASSERT_TRUE(io::Json::parse(adopted, document, error)) << error;
+  const auto session = static_cast<std::uint64_t>(
+      document.find("result")->find("session")->as_number(0.0));
+  const std::string query =
+      R"({"cmd":"query_interference","id":11,"session":)" +
+      std::to_string(session) + "}";
+  EXPECT_EQ(service_.handle(query), expect_ok(11, std::move(expected)));
+}
+
+TEST_F(SvcReplicaAppend, FailedReplayIsRestoreFailedWithNoSessionLeft) {
+  ASSERT_NE(replicate(1).find("\"ok\":true"), std::string::npos);
+  // Node 9 does not exist in the 2-node replica: the replay fails.
+  ASSERT_NE(append(1, 2,
+                   std::string(kAddEdge01) +
+                       R"(,{"cmd":"remove_node","id":6,"session":5,"v":9})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  const std::string adopted = adopt();
+  EXPECT_NE(adopted.find(R"("code":"restore_failed")"), std::string::npos)
+      << adopted;
+  EXPECT_NE(adopted.find("replaying journal entry 1 failed"),
+            std::string::npos)
+      << adopted;
+  EXPECT_EQ(service_.sessions().session_count(), 0u);
+  EXPECT_EQ(service_.replicas().counters().replayed.value(), 0u);
+}
+
 }  // namespace
 }  // namespace rim::svc
