@@ -3,7 +3,10 @@
 /// waves on the shared thread pool) against the same trace applied one
 /// mutation at a time. Exactness is asserted bit-for-bit against the
 /// serial replay at full scale and against Strategy::kBrute at small
-/// scale; the observability registry snapshot is written to BENCH_2.json.
+/// scale. The 100k trace is replayed twice more, on the shared pool and
+/// inline (no pool): the two must agree on every batch's schedule and on
+/// the final vector, and a per-stage table splits apply_batch's time. The
+/// observability registry snapshot is written to BENCH_2.json.
 
 #include <chrono>
 #include <cmath>
@@ -11,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -117,7 +121,8 @@ int main() {
 
         // --- Throughput at 100k nodes, batches of 256. ---
         io::Table table({"nodes", "batches", "batch size", "serial ms",
-                         "batch ms", "speedup", "waves", "deferred"});
+                         "batch ms", "inline ms", "speedup", "waves",
+                         "deferred"});
         double speedup = 0.0;
         {
           // Constant density (~12.5 nodes per unit square), MST topology —
@@ -133,8 +138,10 @@ int main() {
 
           core::Scenario serial(points, mst);
           core::Scenario batched(points, mst);
+          core::Scenario inlined(points, mst);
           (void)serial.interference();
           (void)batched.interference();
+          (void)inlined.interference();
           bench::LocalTrace gen(points, side, 1234);
           std::vector<std::vector<core::Mutation>> trace;
           trace.reserve(batches);
@@ -149,17 +156,37 @@ int main() {
           }
           const double serial_ms = ns_since(t_serial) / 1e6;
 
+          // The same trace twice through apply_batch: on the shared pool
+          // and inline (pool == nullptr). Both must produce the same
+          // schedule, batch by batch, and the same final vector.
           parallel::ThreadPool& pool = parallel::ThreadPool::shared();
+          const auto replay = [&trace](core::Scenario& scenario,
+                                       parallel::ThreadPool* on,
+                                       std::vector<core::BatchResult>& results) {
+            results.reserve(trace.size());
+            const auto start = Clock::now();
+            for (const auto& batch : trace) {
+              results.push_back(scenario.apply_batch(batch, on));
+              (void)scenario.interference();
+            }
+            return ns_since(start) / 1e6;
+          };
+          std::vector<core::BatchResult> pooled_results;
+          std::vector<core::BatchResult> inline_results;
+          const double batch_ms = replay(batched, &pool, pooled_results);
+          const double inline_ms = replay(inlined, nullptr, inline_results);
           std::uint64_t waves = 0;
           std::uint64_t deferred = 0;
-          const auto t_batch = Clock::now();
-          for (const auto& batch : trace) {
-            const core::BatchResult r = batched.apply_batch(batch, &pool);
-            waves += r.waves;
-            deferred += r.deferred;
-            (void)batched.interference();
+          bool same_schedule = true;
+          for (std::size_t b = 0; b < trace.size(); ++b) {
+            const core::BatchResult& p = pooled_results[b];
+            const core::BatchResult& q = inline_results[b];
+            waves += p.waves;
+            deferred += p.deferred;
+            same_schedule = same_schedule && p.waves == q.waves &&
+                            p.disk_tasks == q.disk_tasks &&
+                            p.recounts == q.recounts;
           }
-          const double batch_ms = ns_since(t_batch) / 1e6;
 
           if (!identical(snapshot_interference(serial),
                          snapshot_interference(batched))) {
@@ -168,6 +195,10 @@ int main() {
             ok = false;
             return;
           }
+          const std::uint64_t pooled_digest =
+              bench::fnv1a_interference(batched.interference());
+          const std::uint64_t inline_digest =
+              bench::fnv1a_interference(inlined.interference());
           // A single-core runner cannot measure parallel speedup — the two
           // timings differ only by scheduler noise (0.9x-1.1x), and recording
           // that number would let a noise regression trip downstream plots.
@@ -177,7 +208,8 @@ int main() {
                                .cell(static_cast<std::uint64_t>(batches))
                                .cell(static_cast<std::uint64_t>(batch_size))
                                .cell(serial_ms, 1)
-                               .cell(batch_ms, 1);
+                               .cell(batch_ms, 1)
+                               .cell(inline_ms, 1);
           if (hw < 2) {
             row.cell("skipped (1 core)");
           } else {
@@ -186,6 +218,38 @@ int main() {
           }
           row.cell(waves).cell(deferred);
           table.print(out);
+
+          // Where a batch's time goes, stage by stage (ScenarioStats).
+          io::Table stages({"apply_batch", "structural us", "coalesce us",
+                            "schedule us", "waves us", "recount us",
+                            "total us"});
+          const auto stage_row = [&stages, batches](
+                                     const std::string& label,
+                                     const core::ScenarioStats& stats) {
+            const auto per_batch = [batches](const obs::Counter& ns) {
+              return static_cast<double>(ns.value()) / 1e3 /
+                     static_cast<double>(batches);
+            };
+            stages.row()
+                .cell(label)
+                .cell(per_batch(stats.batch_structural_ns), 1)
+                .cell(per_batch(stats.batch_coalesce_ns), 1)
+                .cell(per_batch(stats.batch_schedule_ns), 1)
+                .cell(per_batch(stats.batch_waves_ns), 1)
+                .cell(per_batch(stats.batch_recount_ns), 1)
+                .cell(per_batch(stats.batch_ns), 1);
+          };
+          stage_row("pool (" + std::to_string(pool.thread_count()) +
+                        " threads)",
+                    batched.stats());
+          stage_row("inline (no pool)", inlined.stats());
+          stages.print(out);
+
+          const bool pool_inline_ok =
+              same_schedule && pooled_digest == inline_digest;
+          out << "ACCEPTANCE: pool/inline schedule identical "
+              << (pool_inline_ok ? "PASS" : "FAIL") << "\n";
+          if (!pool_inline_ok) ok = false;
 
           obs::Registry::global().add_source(
               "scenario_batch", [stats = batched.stats_json()] { return stats; });

@@ -47,6 +47,11 @@ io::Json ScenarioStats::to_json() const {
   o["batch_deferred"] = batch_deferred.to_json();
   o["batch_ns"] = batch_ns.to_json();
   o["batch_wave_tasks"] = batch_wave_tasks.to_json();
+  o["batch_structural_ns"] = batch_structural_ns.to_json();
+  o["batch_coalesce_ns"] = batch_coalesce_ns.to_json();
+  o["batch_schedule_ns"] = batch_schedule_ns.to_json();
+  o["batch_waves_ns"] = batch_waves_ns.to_json();
+  o["batch_recount_ns"] = batch_recount_ns.to_json();
   o["snapshots"] = snapshots.to_json();
   o["restores"] = restores.to_json();
   o["batch_aborts"] = batch_aborts.to_json();
@@ -84,7 +89,8 @@ Scenario::Scenario(const Scenario& other)
       grid_built_(other.grid_built_),
       options_(other.options_),
       stats_(other.stats_) {
-  // batch_arena_ is deliberately fresh: scratch never travels with copies.
+  // Batch scratch (arena, pending flags, touched log) is deliberately
+  // fresh: scratch never travels with copies.
 }
 
 Scenario& Scenario::operator=(const Scenario& other) {

@@ -187,6 +187,12 @@ struct ScenarioStats {
   obs::Counter batch_deferred;    ///< batches that fell back to full eval
   obs::Counter batch_ns;          ///< time spent inside apply_batch
   obs::Histogram batch_wave_tasks;  ///< tasks per wave distribution
+  // Per-stage split of batch_ns (scenario_batch.cpp's phase comments).
+  obs::Counter batch_structural_ns;  ///< serial structural pass
+  obs::Counter batch_coalesce_ns;    ///< touched ids -> tasks + estimate
+  obs::Counter batch_schedule_ns;    ///< first-fit wave assignment
+  obs::Counter batch_waves_ns;       ///< disk-task waves
+  obs::Counter batch_recount_ns;     ///< recount wave
 
   // Robustness subsystem (snapshot/restore + fault injection).
   obs::Counter snapshots;        ///< Scenario::snapshot() calls
@@ -394,6 +400,10 @@ class Scenario {
   /// reused across batches (allocation-free in steady state). Deliberately
   /// not copied — probe copies never carry scratch.
   common::Arena batch_arena_;
+  /// apply_batch's per-id pending flags (all zero between batches) and
+  /// the log of ids it flagged; reused across batches, never copied.
+  std::vector<std::uint8_t> batch_pending_;
+  std::vector<NodeId> batch_touched_;
 };
 
 }  // namespace rim::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "rim/parallel/thread_pool.hpp"
 
@@ -10,10 +11,10 @@
 /// `parallel for schedule(static)` spirit but with explicit pool ownership.
 ///
 /// Thread-safety contract (DESIGN.md §8): these helpers hold no locks of
-/// their own — all synchronisation lives behind ThreadPool::submit /
-/// wait_idle, whose RIM_EXCLUDES(mutex_) annotations propagate the
-/// no-reentrancy rule: never call parallel_for from inside a task running
-/// on the same pool (wait_idle would deadlock on its own worker).
+/// their own — they run on ThreadPool::fork_join, whose caller drains
+/// blocks alongside the pool's workers and waits only for blocks already
+/// claimed. They are therefore safe to call from inside a task running on
+/// the same pool.
 
 namespace rim::parallel {
 
@@ -34,15 +35,11 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   }
   const std::size_t blocks = std::min(workers * 4, (count + grain - 1) / grain);
   const std::size_t block_size = (count + blocks - 1) / blocks;
-  for (std::size_t b = 0; b < blocks; ++b) {
+  pool.fork_join(blocks, [begin, end, block_size, &body](std::size_t b) {
     const std::size_t lo = begin + b * block_size;
     const std::size_t hi = std::min(end, lo + block_size);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  pool.wait_idle();
+    for (std::size_t i = lo; i < hi; ++i) body(i);
+  });
 }
 
 /// Parallel map-reduce: reduce(body(i)) over [begin, end) with a
@@ -64,17 +61,13 @@ template <typename T, typename Body, typename Combine>
   const std::size_t blocks = std::min(workers * 4, (count + grain - 1) / grain);
   const std::size_t block_size = (count + blocks - 1) / blocks;
   std::vector<T> partial(blocks, init);
-  for (std::size_t b = 0; b < blocks; ++b) {
+  pool.fork_join(blocks, [&](std::size_t b) {
     const std::size_t lo = begin + b * block_size;
     const std::size_t hi = std::min(end, lo + block_size);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, b, &partial, &body, &combine, init] {
-      T acc = init;
-      for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, body(i));
-      partial[b] = acc;
-    });
-  }
-  pool.wait_idle();
+    T acc = init;
+    for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, body(i));
+    partial[b] = acc;
+  });
   T acc = init;
   for (const T& p : partial) acc = combine(acc, p);
   return acc;

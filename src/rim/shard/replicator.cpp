@@ -198,6 +198,20 @@ void Replicator::shipped(ReplicaState& state, const std::string& peer,
   ++counters_.shipped;
 }
 
+void Replicator::drop_stale(std::uint64_t origin, const std::string& backend,
+                            const Exchange& exchange) {
+  io::JsonObject drop;
+  drop["cmd"] = io::Json(svc::cmd::kDropReplica);
+  drop["id"] = io::Json(std::uint64_t{0});
+  drop["origin"] = io::Json(origin);
+  io::Json result;
+  std::string error;
+  if (!call_ok(exchange, backend, io::Json(std::move(drop)).dump(), result,
+               error)) {
+    keep_error(origin, "stale replica left on " + backend + ": " + error);
+  }
+}
+
 bool Replicator::ship(std::uint64_t origin, const std::string& owner,
                       std::uint64_t owner_session, const std::string& peer,
                       const Exchange& exchange, ReplicaState& state,
@@ -274,11 +288,16 @@ bool Replicator::ship(std::uint64_t origin, const std::string& owner,
   if (!call_ok(exchange, peer, replicate_request, replicate_result, error)) {
     return ship_failed(origin, failed_prefix + "replicate: " + error);
   }
+  // The replica moved: the previous peer's copy (if it was not consumed
+  // by an adopt) is stale from here on.
+  const std::string previous =
+      state.has_replica && state.peer != peer ? state.peer : std::string();
   state.snapshot_bytes = snapshot.size();
   state.tail_bytes = 0;
   ++counters_.full_ships;
   shipped(state, peer, seq, now_ns);
   if (!fallback.empty()) keep_error(origin, fallback);
+  if (!previous.empty()) drop_stale(origin, previous, exchange);
   return true;
 }
 

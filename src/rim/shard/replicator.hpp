@@ -55,6 +55,16 @@
 /// is what makes the E24 kill-a-shard run checksum-identical to its
 /// unkilled twin.
 ///
+/// **One replica per session.** When a full ship lands on a different
+/// peer than the one holding the replica (a ring change, or a peer that
+/// failed and came back), the previous peer's copy is stale: the ship
+/// sends it a best-effort drop_replica{origin} so stale origins do not
+/// pile up toward its ReplicaStore cap. The Router's exchange refuses a
+/// backend it has marked down at once, so a write never waits on a dead
+/// backend's connect. A failed drop does not fail the ship; it is named
+/// in last_ship_error(). A replica consumed by restore() (adopted) leaves
+/// nothing to drop.
+///
 /// A *replicate* exchange can tear too: the peer stores the ship but the
 /// response is lost. Two mechanisms keep that exactly-once: every ship
 /// attempt uses a fresh sequence number strictly above any attempt ever
@@ -159,7 +169,8 @@ class Replicator {
   /// (backend session \p owner_session) and ship it in full. On success
   /// the journal resets and the replication lag is recorded. On failure
   /// the journal is kept — the next mutation retries — and the reason is
-  /// kept in last_ship_error().
+  /// kept in last_ship_error(). A full ship that moves the replica to a
+  /// new peer then drops the old peer's copy (best effort, see above).
   bool ship(std::uint64_t origin, const std::string& owner,
             std::uint64_t owner_session, const std::string& peer,
             const Exchange& exchange, ReplicaState& state,
@@ -181,9 +192,9 @@ class Replicator {
   }
   [[nodiscard]] const ReplicationPolicy& policy() const { return policy_; }
 
-  /// "origin N: reason" for the most recent failed ship, or for the most
-  /// recent refused append that fell back to a full ship; empty when
-  /// nothing has gone wrong yet.
+  /// "origin N: reason" for the most recent failed ship, refused append
+  /// that fell back to a full ship, or stale replica that could not be
+  /// dropped; empty when nothing has gone wrong yet.
   [[nodiscard]] std::string last_ship_error() const
       RIM_EXCLUDES(error_mutex_);
 
@@ -196,6 +207,10 @@ class Replicator {
   /// Book a ship \p peer accepted at \p seq.
   void shipped(ReplicaState& state, const std::string& peer,
                std::uint64_t seq, std::uint64_t now_ns);
+  /// Best-effort drop_replica of \p origin on \p backend, which no longer
+  /// holds the session's replica.
+  void drop_stale(std::uint64_t origin, const std::string& backend,
+                  const Exchange& exchange) RIM_EXCLUDES(error_mutex_);
 
   const ReplicationPolicy policy_;
   ReplicatorCounters counters_;

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <ostream>
 #include <vector>
 
 #include "rim/core/assessor.hpp"
 #include "rim/core/radii.hpp"
 #include "rim/core/scenario.hpp"
+#include "rim/core/wave_schedule.hpp"
 #include "rim/graph/udg.hpp"
 #include "rim/parallel/thread_pool.hpp"
 #include "rim/sim/generators.hpp"
@@ -13,11 +20,13 @@
 #include "rim/sim/workload.hpp"
 #include "rim/topology/mst_topology.hpp"
 
-/// Tests for the parallel batch pipeline (Scenario::apply_batch) and the
-/// unified impact assessor (core::Assessor). The contract under test is
-/// bit-identity: a batch must leave the scenario in exactly the state that
-/// applying its mutations one at a time would, which in turn must match the
-/// kBrute from-scratch oracle.
+/// Tests for the parallel batch pipeline (Scenario::apply_batch), its wave
+/// scheduler (first_fit_waves) and the unified impact assessor
+/// (core::Assessor). The contract under test is bit-identity: a batch must
+/// leave the scenario in exactly the state that applying its mutations one
+/// at a time would, which in turn must match the kBrute from-scratch
+/// oracle; and the scheduler must assign every task the wave the
+/// per-wave membership scan it replaced would.
 
 namespace rim::core {
 namespace {
@@ -409,6 +418,211 @@ TEST(ApplyBatch, ClusteredTripleFieldRunsOneWavePerTask) {
   // Spacing 0.05 stacks the eight disks inside ~1.4 units: every task
   // conflicts with every other, one wave each.
   expect_triple_field_waves(0.05, 248, 8);
+}
+
+/// Records each disk task's wave from the wave workers, lock-free (the
+/// BatchHooks contract: hooks run on pool workers).
+class WaveRecorder : public BatchHooks {
+ public:
+  static constexpr std::size_t kCapacity = 4096;
+
+  bool before_disk_task(std::size_t wave, std::size_t task) override {
+    if (task < kCapacity) waves_[task].store(wave, std::memory_order_relaxed);
+    return true;
+  }
+  [[nodiscard]] std::uint64_t wave_of(std::size_t task) const {
+    return waves_[task].load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kCapacity> waves_{};
+};
+
+/// FNV-1a over the eight little-endian bytes of \p value, folded into \p h.
+void fnv1a_fold(std::uint64_t& h, std::uint64_t value) {
+  for (int shift = 0; shift < 64; shift += 8) {
+    h ^= (value >> shift) & 0xFFu;
+    h *= 0x100000001B3ULL;
+  }
+}
+
+TEST(ApplyBatch, ScheduleMatchesParentDigest) {
+  // Every task's wave over a seeded 5k-node local-churn trace, plus each
+  // batch's waves / disk_tasks / recounts. The digest was recorded with
+  // the per-wave membership scan first_fit_waves replaced.
+  const double side = 20.0;  // 12.5 nodes per unit square
+  Scenario reference = make_mst_scenario(5000, side, 53);
+  Scenario batched = reference;
+  (void)reference.interference();
+  (void)batched.interference();
+  parallel::ThreadPool pool(4);
+  sim::Rng rng(0x5eedu);
+  WaveRecorder recorder;
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  std::size_t waves = 0;
+  for (int round = 0; round < 24; ++round) {
+    const std::vector<Mutation> batch =
+        make_local_batch(reference, rng, 32, side);
+    for (const Mutation& m : batch) reference.apply(m);
+    const BatchResult result = batched.apply_batch(batch, &pool, &recorder);
+    ASSERT_FALSE(result.deferred) << "round " << round;
+    ASSERT_LE(result.disk_tasks, WaveRecorder::kCapacity);
+    fnv1a_fold(digest, result.waves);
+    fnv1a_fold(digest, result.disk_tasks);
+    fnv1a_fold(digest, result.recounts);
+    for (std::size_t t = 0; t < result.disk_tasks; ++t) {
+      fnv1a_fold(digest, recorder.wave_of(t));
+    }
+    waves += result.waves;
+  }
+  expect_scenarios_identical(reference, batched, "digest trace vs serial");
+  EXPECT_GT(waves, 24u * 2);  // the trace exercises multi-wave schedules
+  EXPECT_EQ(digest, 0x59dddcd019a17bebULL);
+}
+
+// --- first_fit_waves vs the per-wave membership scan ----------------------
+
+/// The scan first_fit_waves replaced: each task joins the first wave none
+/// of whose members' bounding squares meet its own.
+std::vector<std::uint32_t> quadratic_first_fit(
+    const std::vector<geom::Vec2>& centers, const std::vector<double>& q) {
+  std::vector<std::vector<std::size_t>> waves;
+  std::vector<std::uint32_t> wave_of(centers.size());
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    std::size_t target = waves.size();
+    for (std::size_t w = 0; w < waves.size() && target == waves.size(); ++w) {
+      bool conflicts = false;
+      for (const std::size_t j : waves[w]) {
+        const double reach = q[i] + q[j];
+        if (std::abs(centers[i].x - centers[j].x) <= reach &&
+            std::abs(centers[i].y - centers[j].y) <= reach) {
+          conflicts = true;
+          break;
+        }
+      }
+      if (!conflicts) target = w;
+    }
+    if (target == waves.size()) waves.emplace_back();
+    waves[target].push_back(i);
+    wave_of[i] = static_cast<std::uint32_t>(target);
+  }
+  return wave_of;
+}
+
+/// first_fit_waves must assign every task the reference's wave.
+void expect_same_schedule(const std::vector<geom::Vec2>& centers,
+                          const std::vector<double>& q, const char* context) {
+  ASSERT_EQ(centers.size(), q.size());
+  const std::vector<std::uint32_t> expected = quadratic_first_fit(centers, q);
+  std::vector<std::uint32_t> actual(centers.size(), 0xFFFFFFFFu);
+  common::Arena arena;
+  const std::size_t waves =
+      first_fit_waves(centers, q, arena, {actual.data(), actual.size()});
+  std::uint32_t expected_waves = 0;
+  for (const std::uint32_t w : expected) {
+    expected_waves = std::max(expected_waves, w + 1);
+  }
+  EXPECT_EQ(waves, expected_waves) << context;
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    ASSERT_EQ(actual[i], expected[i]) << context << ", task " << i;
+  }
+}
+
+TEST(WaveSchedule, SeededRandomTaskSetsMatchTheQuadraticScan) {
+  sim::Rng rng(0x3a7e5u);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.next_below(300);
+    const double extent = rng.uniform(0.5, 200.0);
+    const double max_q = rng.uniform(0.0, 3.0);
+    std::vector<geom::Vec2> centers(n);
+    std::vector<double> q(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      centers[i] = {rng.uniform(0.0, extent), rng.uniform(0.0, extent)};
+      // A quarter of the tasks shrink a disk to nothing: query radius 0.
+      q[i] = rng.next_double() < 0.25 ? 0.0 : rng.uniform(0.0, max_q);
+    }
+    expect_same_schedule(centers, q, "random");
+  }
+}
+
+TEST(WaveSchedule, EveryTaskAtOneCenter) {
+  std::vector<geom::Vec2> centers(64, geom::Vec2{3.25, -7.5});
+  std::vector<double> q(64);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    q[i] = static_cast<double>(i % 5) * 0.25;
+  }
+  expect_same_schedule(centers, q, "one center");
+  std::fill(q.begin(), q.end(), 0.0);
+  expect_same_schedule(centers, q, "one center, zero radii");
+}
+
+TEST(WaveSchedule, OneGiantDiskAmongSmallOnes) {
+  sim::Rng rng(0x61a27u);
+  std::vector<geom::Vec2> centers;
+  std::vector<double> q;
+  for (int i = 0; i < 400; ++i) {
+    centers.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
+    q.push_back(rng.uniform(0.0, 0.6));
+    if (i == 150) {
+      centers.push_back({50.0, 50.0});
+      q.push_back(30.0);
+    }
+  }
+  expect_same_schedule(centers, q, "giant disk");
+}
+
+TEST(WaveSchedule, BoundingSquaresTouchingExactlyConflict) {
+  // Dyadic values keep every sum exact: |dx| == reach on one axis.
+  std::vector<geom::Vec2> centers;
+  std::vector<double> q;
+  for (int i = 0; i < 32; ++i) {
+    centers.push_back({static_cast<double>(i), 0.125 * (i % 3)});
+    q.push_back(0.5);
+  }
+  for (int i = 0; i < 32; ++i) {
+    centers.push_back({0.25 * (i % 4), 10.0 + 1.5 * static_cast<double>(i)});
+    q.push_back(i % 2 == 0 ? 1.0 : 0.5);
+  }
+  expect_same_schedule(centers, q, "touching");
+  // Adjacent squares touch, so the chain alternates between two waves.
+  std::vector<std::uint32_t> wave_of(32);
+  common::Arena arena;
+  const std::vector<geom::Vec2> chain(centers.begin(), centers.begin() + 32);
+  const std::vector<double> chain_q(q.begin(), q.begin() + 32);
+  EXPECT_EQ(first_fit_waves(chain, chain_q, arena, wave_of), 2u);
+}
+
+TEST(WaveSchedule, ExtremeMagnitudesStayDefined) {
+  sim::Rng rng(0xe77eu);
+  std::vector<geom::Vec2> centers;
+  std::vector<double> q;
+  for (int i = 0; i < 120; ++i) {
+    const double sx = rng.next_double() < 0.5 ? -1.0 : 1.0;
+    const double sy = rng.next_double() < 0.5 ? -1.0 : 1.0;
+    centers.push_back({sx * 1e300 * rng.uniform(0.5, 1.0),
+                       sy * 1e300 * rng.uniform(0.5, 1.0)});
+    q.push_back(i % 7 == 0 ? 1e300 : rng.uniform(0.0, 1.0));
+  }
+  expect_same_schedule(centers, q, "1e300");
+
+  // Subnormal spacing: centres a few denorm_min apart.
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  centers.clear();
+  q.clear();
+  for (int i = 0; i < 120; ++i) {
+    centers.push_back({kTiny * static_cast<double>(rng.next_below(40)),
+                       kTiny * static_cast<double>(rng.next_below(40))});
+    q.push_back(kTiny * static_cast<double>(rng.next_below(3)));
+  }
+  expect_same_schedule(centers, q, "subnormal");
+
+  // Extents that overflow to infinity, and non-finite inputs.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  centers = {{-1.7e308, 0.0}, {1.7e308, 1.0}, {0.0, 0.0},  {kInf, 2.0},
+             {kNaN, 0.0},     {1.0, kNaN},    {-kInf, -kInf}, {0.5, 0.5}};
+  q = {1.0, 1.0, 1e308, 0.0, 1.0, 1.0, kInf, kNaN};
+  expect_same_schedule(centers, q, "non-finite");
 }
 
 // --- Assessor::assess ----------------------------------------------------

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "rim/parallel/parallel_for.hpp"
 #include "rim/parallel/thread_pool.hpp"
+#include "rim/sim/rng.hpp"
 
 namespace rim::parallel {
 namespace {
@@ -116,6 +119,100 @@ TEST(ParallelReduce, EmptyRangeReturnsInit) {
       3, 3, 42, [](std::size_t) { return 0; },
       [](int a, int b) { return a + b; }, pool);
   EXPECT_EQ(result, 42);
+}
+
+TEST(ForkJoin, EveryChunkRunsExactlyOnce) {
+  ThreadPool pool(4);
+  sim::Rng rng(0xf0f0u);
+  for (int call = 0; call < 300; ++call) {
+    const std::size_t chunks = rng.next_below(70);
+    std::vector<std::atomic<int>> runs(chunks);
+    pool.fork_join(chunks, [&runs](std::size_t c) {
+      runs[c].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      ASSERT_EQ(runs[c].load(), 1) << "call " << call << ", chunk " << c;
+    }
+  }
+}
+
+TEST(ForkJoin, ReturnsWhileEveryWorkerIsParked) {
+  // Every worker blocks on a latch that is released only after fork_join
+  // returns: the caller must drain all chunks itself and never wait for
+  // the helpers it woke.
+  constexpr std::size_t kWorkers = 3;
+  ThreadPool pool(kWorkers);
+  std::latch parked(kWorkers);
+  std::latch release(1);
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    pool.submit([&parked, &release] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  parked.wait();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> runs(16);
+  std::atomic<int> on_caller{0};
+  pool.fork_join(runs.size(), [&](std::size_t c) {
+    runs[c].fetch_add(1, std::memory_order_relaxed);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  EXPECT_EQ(on_caller.load(), 16);
+  release.count_down();
+  pool.wait_idle();  // the late helpers find nothing left to run
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ForkJoin, NestedCallFromAPoolTaskReturns) {
+  ThreadPool pool(2);
+  std::atomic<int> inner{0};
+  // From inside a pool task, and nested inside another fork_join's chunk.
+  pool.submit([&pool, &inner] {
+    pool.fork_join(4, [&pool, &inner](std::size_t) {
+      pool.fork_join(3, [&inner](std::size_t) { inner.fetch_add(1); });
+    });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(inner.load(), 12);
+  // parallel_for from a pool task used to deadlock in wait_idle().
+  std::vector<std::atomic<int>> touched(4096);
+  pool.submit([&pool, &touched] {
+    parallel_for(0, touched.size(),
+                 [&touched](std::size_t i) { touched[i].fetch_add(1); }, pool,
+                 64);
+  });
+  pool.wait_idle();
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+}
+
+TEST(ParallelReduce, BitIdenticalToTheBlockOrderedSerialCombine) {
+  // The reduction's bits are fixed by its block partition: per-block
+  // partials summed left to right, then combined in block order.
+  ThreadPool pool(4);
+  const std::size_t n = 30011;
+  const std::size_t grain = 97;
+  const auto body = [](std::size_t i) {
+    return 1.0 / (3.0 + static_cast<double>(i)) -
+           1.0 / (7.0 + static_cast<double>(i * i % 101));
+  };
+  const auto add = [](double a, double b) { return a + b; };
+  const std::size_t blocks =
+      std::min(pool.thread_count() * 4, (n + grain - 1) / grain);
+  const std::size_t block_size = (n + blocks - 1) / blocks;
+  double expected = 0.0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    double partial = 0.0;
+    for (std::size_t i = b * block_size; i < std::min(n, (b + 1) * block_size);
+         ++i) {
+      partial += body(i);
+    }
+    expected += partial;
+  }
+  for (int trial = 0; trial < 5; ++trial) {
+    EXPECT_EQ(parallel_reduce<double>(0, n, 0.0, body, add, pool, grain),
+              expected);
+  }
 }
 
 }  // namespace

@@ -71,17 +71,20 @@ std::string redumped_request(const std::string& response, std::uint64_t seq) {
 }
 
 /// A fake Exchange: "owner" answers every request with a canned response,
-/// "peer" and "peer2" are real Services. Every payload sent is recorded.
+/// "peer" and "peer2" are real Services. Every payload sent is recorded;
+/// one sent to \p unreachable is lost.
 struct FakeBackends {
   std::string owner_answer;
   svc::Service peer{one_thread_service()};
   svc::Service peer2{one_thread_service()};
+  std::string unreachable;
   std::vector<std::pair<std::string, std::string>> sent;
 
   [[nodiscard]] shard::Exchange exchange() {
     return [this](const std::string& backend, const std::string& payload,
                   std::string& response) {
       sent.emplace_back(backend, payload);
+      if (backend == unreachable) return svc::TransportStatus::kConnectionLost;
       response = backend == "owner"   ? owner_answer
                  : backend == "peer2" ? peer2.handle(payload)
                                       : peer.handle(payload);
@@ -138,6 +141,13 @@ std::string redumped_append(std::uint64_t base, std::uint64_t seq,
 bool is_snapshot_fetch(const std::pair<std::string, std::string>& sent) {
   return sent.first == "owner" &&
          sent.second.find(R"("cmd":"snapshot")") != std::string::npos;
+}
+
+/// True iff \p sent is a drop_replica of kOrigin addressed to \p backend.
+bool is_drop_of_origin(const std::pair<std::string, std::string>& sent,
+                       const std::string& backend) {
+  return sent.first == backend &&
+         sent.second == R"({"cmd":"drop_replica","id":0,"origin":7})";
 }
 
 void expect_forwarded_verbatim(const core::Snapshot& snapshot) {
@@ -334,13 +344,84 @@ TEST(ShardReplicator, PeerChangeForcesAFullShip) {
   (void)backends.write_and_ship(replicator, state, 1);
   const std::size_t sent_before = backends.sent.size();
   (void)backends.write_and_ship(replicator, state, 2, "peer2");
-  ASSERT_EQ(backends.sent.size() - sent_before, 2u);
+  // Snapshot fetch, full replicate to peer2, then the stale copy's drop.
+  ASSERT_EQ(backends.sent.size() - sent_before, 3u);
   EXPECT_TRUE(is_snapshot_fetch(backends.sent[sent_before]));
   EXPECT_EQ(backends.sent[sent_before + 1].first, "peer2");
+  EXPECT_TRUE(is_drop_of_origin(backends.sent[sent_before + 2], "peer"));
   EXPECT_EQ(state.peer, "peer2");
   EXPECT_EQ(backends.peer2.replicas().size(), 1u);
   EXPECT_EQ(replicator.counters().full_ships.value(), 2u);
   EXPECT_EQ(replicator.counters().shipped.value(), 2u);
+}
+
+TEST(ShardReplicator, PeerChangeDropsTheOldReplica) {
+  FakeBackends backends;
+  backends.owner_answer = owner_response(large_snapshot());
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1, "peer");
+  ASSERT_EQ(backends.peer.replicas().size(), 1u);
+  (void)backends.write_and_ship(replicator, state, 2, "peer2");
+  EXPECT_EQ(backends.peer.replicas().size(), 0u);
+  EXPECT_EQ(backends.peer2.replicas().size(), 1u);
+  EXPECT_EQ(backends.peer.replicas().counters().dropped.value(), 1u);
+  EXPECT_EQ(replicator.counters().ship_failures.value(), 0u);
+  EXPECT_EQ(replicator.last_ship_error(), "");
+  // Shipping on to the same peer drops nothing more.
+  const std::size_t sent_before = backends.sent.size();
+  (void)backends.write_and_ship(replicator, state, 3, "peer2");
+  for (std::size_t i = sent_before; i < backends.sent.size(); ++i) {
+    EXPECT_FALSE(is_drop_of_origin(backends.sent[i], "peer"));
+    EXPECT_FALSE(is_drop_of_origin(backends.sent[i], "peer2"));
+  }
+}
+
+TEST(ShardReplicator, FailedDropIsNotAFailedShip) {
+  // The old peer is unreachable when its stale copy is dropped: the ship
+  // still succeeds, and the stale copy is named in last_ship_error.
+  FakeBackends backends;
+  backends.owner_answer = owner_response(large_snapshot());
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1, "peer");
+  backends.unreachable = "peer";
+  const std::size_t sent_before = backends.sent.size();
+  (void)backends.write_and_ship(replicator, state, 2, "peer2");
+  ASSERT_EQ(backends.sent.size() - sent_before, 3u);
+  EXPECT_TRUE(is_drop_of_origin(backends.sent[sent_before + 2], "peer"));
+  EXPECT_EQ(state.peer, "peer2");
+  EXPECT_EQ(replicator.counters().shipped.value(), 2u);
+  EXPECT_EQ(replicator.counters().ship_failures.value(), 0u);
+  EXPECT_NE(replicator.last_ship_error().find("stale replica left on peer"),
+            std::string::npos)
+      << replicator.last_ship_error();
+}
+
+TEST(ShardReplicator, AdoptedReplicaIsNotDropped) {
+  // restore() consumes the replica on the peer (adopt_session); the ship
+  // that re-creates redundancy elsewhere must not send a drop for it.
+  FakeBackends backends;
+  backends.owner_answer = owner_response(large_snapshot());
+  shard::Replicator replicator(shard::ReplicationPolicy{});
+  shard::ReplicaState state;
+  (void)backends.write_and_ship(replicator, state, 1, "peer");
+  std::uint64_t promoted = 0;
+  std::string error;
+  ASSERT_TRUE(
+      replicator.restore(kOrigin, "peer", backends.exchange(), state,
+                         promoted, error))
+      << error;
+  EXPECT_FALSE(state.has_replica);
+  const std::size_t sent_before = backends.sent.size();
+  (void)backends.write_and_ship(replicator, state, 2, "peer2");
+  for (std::size_t i = sent_before; i < backends.sent.size(); ++i) {
+    EXPECT_EQ(backends.sent[i].second.find(svc::cmd::kDropReplica),
+              std::string::npos)
+        << backends.sent[i].second;
+  }
+  EXPECT_EQ(backends.peer.replicas().counters().dropped.value(), 0u);
+  EXPECT_EQ(backends.peer2.replicas().size(), 1u);
 }
 
 TEST(ShardReplicator, RefusedAppendFallsBackToAFullShipInTheSameCall) {

@@ -49,9 +49,9 @@ const std::vector<RuleInfo> kRules = {
      "module-private"},
     {kBinaryFile, "tracked file looks binary (NUL byte in leading window)"},
     {kWaveScratch,
-     "std::vector scratch inside a task lambda handed to submit() in a "
-     "batch file; wave tasks must capture arena pointers, not allocate "
-     "(see common::Arena and DESIGN.md §10)"},
+     "std::vector scratch inside a task lambda handed to submit() or "
+     "fork_join() in a batch file; wave tasks must capture arena pointers, "
+     "not allocate (see common::Arena and DESIGN.md §10)"},
     {kEvalOptionsInit,
      "designated-initializer construction of core::EvalOptions; use the "
      "chainable with_* builder setters (EvalOptions{}.with_strategy(...)) so "
@@ -178,16 +178,17 @@ void check_tokens(std::string_view path, const ScanResult& scan_result,
     }
   }
 
-  // wave-vector-scratch: in batch files, a task lambda handed straight to
-  // ThreadPool::submit runs per wave on the hottest path in the engine;
-  // std::vector scratch there is a heap allocation (and a free) per task.
-  // Batch scratch belongs in the scenario's arena, captured as raw
-  // pointers (scenario_batch.cpp documents the lifetime rules).
+  // wave-vector-scratch: in batch files, a task lambda handed to the pool
+  // — ThreadPool::submit or ThreadPool::fork_join, directly or through the
+  // batch pipeline's run_tasks wrapper — runs per wave on the hottest path
+  // in the engine; std::vector scratch there is a heap allocation (and a
+  // free) per task. Batch scratch belongs in the scenario's arena,
+  // captured as raw pointers (scenario_batch.cpp documents the lifetime
+  // rules). Every lambda argument of such a call is checked.
   if (path_contains(path, "batch")) {
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (toks[i].text != "submit" || !next_is(i, "(")) continue;
-      std::size_t j = i + 2;
-      if (j >= toks.size() || toks[j].text != "[") continue;
+    // Flags vectors in the lambda whose introducer '[' is at toks[j];
+    // returns the index just past its body.
+    const auto scan_lambda = [&](std::size_t j) {
       // Capture list, then optional (params) / qualifiers, then the body.
       std::size_t depth = 1;
       for (++j; j < toks.size() && depth > 0; ++j) {
@@ -202,7 +203,7 @@ void check_tokens(std::string_view path, const ScanResult& scan_result,
         }
       }
       while (j < toks.size() && toks[j].text != "{") ++j;
-      if (j >= toks.size()) continue;
+      if (j >= toks.size()) return j;
       depth = 1;
       for (++j; j < toks.size() && depth > 0; ++j) {
         if (toks[j].text == "{") {
@@ -212,10 +213,34 @@ void check_tokens(std::string_view path, const ScanResult& scan_result,
         } else if (toks[j].text == "vector") {
           out.push_back(
               {std::string(path), toks[j].line, std::string(kWaveScratch),
-               "std::vector scratch inside a submit() task lambda; "
-               "bump-allocate from the batch arena and capture the pointer "
-               "instead"});
+               "std::vector scratch inside a submit()/fork_join() task "
+               "lambda; bump-allocate from the batch arena and capture the "
+               "pointer instead"});
         }
+      }
+      return j;
+    };
+    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
+      const std::string& callee = toks[i].text;
+      if ((callee != "submit" && callee != "fork_join" &&
+           callee != "run_tasks") ||
+          !next_is(i, "(")) {
+        continue;
+      }
+      // Walk the argument list; a '[' right after '(' or ',' at the call's
+      // own nesting level opens a lambda argument.
+      std::size_t depth = 1;
+      std::size_t j = i + 2;
+      while (j < toks.size() && depth > 0) {
+        const std::string& t = toks[j].text;
+        if (depth == 1 && t == "[" &&
+            (toks[j - 1].text == "(" || toks[j - 1].text == ",")) {
+          j = scan_lambda(j);
+          continue;
+        }
+        if (t == "(" || t == "[" || t == "{") ++depth;
+        if (t == ")" || t == "]" || t == "}") --depth;
+        ++j;
       }
     }
   }

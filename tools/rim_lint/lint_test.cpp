@@ -108,8 +108,9 @@ TEST(RimLint, DetailIncludeAllowedWithinOwnModule) {
 TEST(RimLint, WaveScratchFixtureTriggers) {
   const auto v = lint_source("src/rim/core/scenario_batch.cpp",
                              fixture("wave_scratch.cpp"));
-  EXPECT_EQ(count_rule(v, "wave-vector-scratch"), 3u)
-      << "one per vector declared inside a submit() task lambda";
+  EXPECT_EQ(count_rule(v, "wave-vector-scratch"), 4u)
+      << "one per vector declared inside a submit() or fork_join() task "
+         "lambda";
 }
 
 TEST(RimLint, WaveScratchAllowedOutsideBatchFiles) {
